@@ -7,13 +7,10 @@
 // still beats HDFS; HDFS is flat regardless of offered load.
 //
 // Also runs the inode hint-cache ablation (§5.1): the same closed loop on a
-// real MiniCluster with (a) the trie cache plus proactive invalidation-log
-// draining, (b) the cache with lazy repair-on-miss only, and (c) the cache
-// disabled -- reporting throughput, database round trips per op, and the
-// cache counters.
-#include <atomic>
+// real MiniCluster with (a) the trie cache and lazy repair-on-miss, and
+// (b) the cache disabled -- reporting throughput, database round trips per
+// op, and the cache counters.
 #include <cstdlib>
-#include <thread>
 
 #include "bench_common.h"
 
@@ -27,39 +24,26 @@ void RunHintCacheAblation(const hops::wl::OpMix& mix, hops::bench::BenchJson& js
   const int64_t ops_per_thread = full ? 2500 : 500;
 
   std::printf("\n# hint-cache ablation (real 3-NN MiniCluster, closed loop)\n");
-  std::printf("%-10s %10s %12s %9s %12s %12s %12s\n", "cache", "ops/sec", "trips/op",
-              "hit-rate", "invalidated", "proactive", "stale-puts");
+  std::printf("%-10s %10s %12s %9s %12s %12s\n", "cache", "ops/sec", "trips/op", "hit-rate",
+              "invalidated", "stale-puts");
 
   struct Cfg {
     const char* label;
     size_t capacity;
-    bool proactive;
   };
-  for (const Cfg& cfg : {Cfg{"proactive", size_t{1} << 20, true},
-                         Cfg{"lazy", size_t{1} << 20, false},  //
-                         Cfg{"off", 0, false}}) {
+  for (const Cfg& cfg : {Cfg{"lazy", size_t{1} << 20}, Cfg{"off", 0}}) {
     fs::MiniClusterOptions options;
     options.db.num_datanodes = 4;
     options.db.replication = 2;
     options.num_namenodes = 3;
     options.num_datanodes = 3;
     options.fs.hint_cache_capacity = cfg.capacity;
-    options.fs.hint_proactive_invalidation = cfg.proactive;
     auto cluster = *fs::MiniCluster::Start(options);
     wl::NamespaceShape shape;
     auto ns = wl::PlanNamespace(shape, files, 11);
     wl::BulkLoader loader(&cluster->db(), &cluster->schema(), &cluster->fs_config());
     if (!loader.Load(ns, 1.3, 0, 11).ok()) std::abort();
     cluster->db().ResetStats();
-
-    // The heartbeat ticker is what drains the invalidation log mid-run.
-    std::atomic<bool> stop{false};
-    std::thread ticker([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        cluster->TickHeartbeats();
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    });
 
     wl::DriverOptions dopts;
     dopts.num_threads = threads;
@@ -73,20 +57,17 @@ void RunHintCacheAblation(const hops::wl::OpMix& mix, hops::bench::BenchJson& js
                                  70 + static_cast<uint64_t>(t)));
         },
         ns, mix, dopts);
-    stop.store(true);
-    ticker.join();
     wl::FillHintStats(*cluster, report);
 
     auto db = cluster->db().StatsSnapshot();
     const auto& hint = *report.hint_stats;
-    std::printf("%-10s %10.0f %12.2f %8.1f%% %12llu %12llu %12llu\n", cfg.label,
+    std::printf("%-10s %10.0f %12.2f %8.1f%% %12llu %12llu\n", cfg.label,
                 report.ops_per_second,
                 report.ops > 0 ? static_cast<double>(db.round_trips) /
                                      static_cast<double>(report.ops)
                                : 0.0,
                 100.0 * hint.HitRate(),
                 static_cast<unsigned long long>(hint.cache.entries_invalidated),
-                static_cast<unsigned long long>(hint.proactive_applied),
                 static_cast<unsigned long long>(hint.cache.stale_put_rejections));
     std::fflush(stdout);
     std::string prefix = std::string("ablation_") + cfg.label + "_";
@@ -96,12 +77,6 @@ void RunHintCacheAblation(const hops::wl::OpMix& mix, hops::bench::BenchJson& js
                                      static_cast<double>(report.ops)
                                : 0.0);
     json.Metric(prefix + "hit_rate", hint.HitRate());
-    json.Metric(prefix + "proactive_applied",
-                static_cast<double>(hint.proactive_applied));
-    json.Metric(prefix + "publish_events", static_cast<double>(hint.publish_events));
-    json.Metric(prefix + "publish_ops_coalesced",
-                static_cast<double>(hint.publish_ops_coalesced));
-    json.Metric(prefix + "gc_acked_reaps", static_cast<double>(hint.gc_acked_reaps));
   }
 }
 

@@ -6,7 +6,11 @@
 //
 // Directory sizes are scaled down from the paper's 0.25M/0.5M/1M files to
 // keep the default run short; set HOPS_BENCH_FULL=1 for the paper's sizes.
-#include <algorithm>
+//
+// The delete's database round trips are reported too. The per-row phase-3
+// path this once compared against is gone; its last numbers are the
+// filesN_per_row_{trips,ms} entries of bench/results/BENCH_table4_subtree_ops.json
+// (225-245x the pipelined path's trips, 4.8-5.6x its latency).
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -45,66 +49,36 @@ int main() {
   std::printf("# Table 4: mv and rm -rf latency on large directories\n");
   std::printf("# sizes %s (HOPS_BENCH_FULL=1 for the paper's 0.25M/0.5M/1M)\n",
               full ? "full" : "scaled 10x down");
-  std::printf("%-10s %14s %14s %14s %14s\n", "dir size", "HDFS mv", "HopsFS mv",
-              "HDFS rm -rf", "HopsFS rm -rf");
-
-  struct RmStats {
-    double ms = 0;
-    uint64_t round_trips = 0;
-    uint64_t overlapped = 0;
-  };
-  struct SizeResult {
-    int64_t files = 0;
-    RmStats per_row, pipelined;
-  };
-  std::vector<SizeResult> rm_results;
+  std::printf("%-10s %14s %14s %14s %14s %14s\n", "dir size", "HDFS mv", "HopsFS mv",
+              "HDFS rm -rf", "HopsFS rm -rf", "rm trips");
 
   for (int64_t files : sizes) {
     // --- HopsFS ---------------------------------------------------------
-    // Two passes over identical namespaces: subtree phase 3 per-row (the
-    // pre-pipelining path) vs pipelined through the async batch engine.
-    // The phase-1/2 cost is identical in both, so the deltas isolate the
-    // pipelined delete.
-    SizeResult size_result;
-    size_result.files = files;
-    double hops_mv_ms = 0, hops_rm_ms = 0;
     auto ns = SubtreeUnder("/victim", files, 7);
-    for (bool pipelined : {false, true}) {
-      fs::MiniClusterOptions options;
-      options.db.num_datanodes = 12;
-      options.db.replication = 2;
-      options.db.partitions_per_table = 48;
-      options.fs.subtree_delete_batch = 512;
-      options.fs.subtree_parallelism = 2;
-      options.fs.subtree_pipelined = pipelined;
-      options.num_namenodes = 2;
-      options.num_datanodes = 3;
-      auto cluster = *fs::MiniCluster::Start(options);
-      auto client = cluster->NewClient(fs::NamenodePolicy::kSticky, "bench");
-      if (!client.Mkdirs("/victim").ok() || !client.Mkdirs("/dst").ok()) return 1;
-      wl::BulkLoader loader(&cluster->db(), &cluster->schema(), &cluster->fs_config());
-      if (!loader.Load(ns, 1.0, 0, 7).ok()) return 1;
+    fs::MiniClusterOptions options;
+    options.db.num_datanodes = 12;
+    options.db.replication = 2;
+    options.db.partitions_per_table = 48;
+    options.fs.subtree_delete_batch = 512;
+    options.fs.subtree_parallelism = 2;
+    options.num_namenodes = 2;
+    options.num_datanodes = 3;
+    auto cluster = *fs::MiniCluster::Start(options);
+    auto client = cluster->NewClient(fs::NamenodePolicy::kSticky, "bench");
+    if (!client.Mkdirs("/victim").ok() || !client.Mkdirs("/dst").ok()) return 1;
+    wl::BulkLoader loader(&cluster->db(), &cluster->schema(), &cluster->fs_config());
+    if (!loader.Load(ns, 1.0, 0, 7).ok()) return 1;
 
-      int64_t t0 = MonotonicMicros();
-      if (!client.Rename("/victim", "/dst/victim").ok()) return 1;
-      double mv_ms = static_cast<double>(MonotonicMicros() - t0) / 1000.0;
+    int64_t t0 = MonotonicMicros();
+    if (!client.Rename("/victim", "/dst/victim").ok()) return 1;
+    const double hops_mv_ms = static_cast<double>(MonotonicMicros() - t0) / 1000.0;
 
-      auto before = cluster->db().StatsSnapshot();
-      t0 = MonotonicMicros();
-      if (!client.Delete("/dst/victim", true).ok()) return 1;
-      double rm_ms = static_cast<double>(MonotonicMicros() - t0) / 1000.0;
-      auto after = cluster->db().StatsSnapshot();
-
-      RmStats& rm = pipelined ? size_result.pipelined : size_result.per_row;
-      rm.ms = rm_ms;
-      rm.round_trips = after.round_trips - before.round_trips;
-      rm.overlapped = after.overlapped_round_trips - before.overlapped_round_trips;
-      if (pipelined) {  // the headline row reports the default (pipelined) path
-        hops_mv_ms = mv_ms;
-        hops_rm_ms = rm_ms;
-      }
-    }
-    rm_results.push_back(size_result);
+    auto before = cluster->db().StatsSnapshot();
+    t0 = MonotonicMicros();
+    if (!client.Delete("/dst/victim", true).ok()) return 1;
+    const double hops_rm_ms = static_cast<double>(MonotonicMicros() - t0) / 1000.0;
+    const uint64_t rm_trips = cluster->db().StatsSnapshot().round_trips - before.round_trips;
+    cluster.reset();
 
     // --- HDFS -----------------------------------------------------------
     hdfs::HaCluster ha(hdfs::HaCluster::Options{});
@@ -118,7 +92,7 @@ int main() {
       if (!hdfs_fs->AddBlock(file, "b", 1024).ok()) return 1;
       if (!hdfs_fs->CompleteFile(file, "b").ok()) return 1;
     }
-    int64_t t0 = MonotonicMicros();
+    t0 = MonotonicMicros();
     if (!hdfs_fs->Rename("/victim", "/dst/victim").ok()) return 1;
     double hdfs_mv_ms = static_cast<double>(MonotonicMicros() - t0) / 1000.0;
     t0 = MonotonicMicros();
@@ -127,35 +101,16 @@ int main() {
 
     char label[32];
     std::snprintf(label, sizeof(label), "%.2fM", static_cast<double>(files) / 1e6);
-    std::printf("%-10s %12.0fms %12.0fms %12.0fms %12.0fms\n", label, hdfs_mv_ms,
-                hops_mv_ms, hdfs_rm_ms, hops_rm_ms);
+    std::printf("%-10s %12.0fms %12.0fms %12.0fms %12.0fms %14llu\n", label, hdfs_mv_ms,
+                hops_mv_ms, hdfs_rm_ms, hops_rm_ms, static_cast<unsigned long long>(rm_trips));
     std::fflush(stdout);
     std::string prefix = "files" + std::to_string(files) + "_";
     json.Metric(prefix + "hops_mv_ms", hops_mv_ms);
     json.Metric(prefix + "hops_rm_ms", hops_rm_ms);
     json.Metric(prefix + "hdfs_mv_ms", hdfs_mv_ms);
     json.Metric(prefix + "hdfs_rm_ms", hdfs_rm_ms);
+    json.Metric(prefix + "pipelined_trips", static_cast<double>(rm_trips));
   }
-  std::printf("\n# Subtree delete, per-row vs pipelined phase 3 (same namespace):\n");
-  std::printf("%-10s %16s %16s %12s %12s %14s\n", "dir size", "per-row trips",
-              "pipelined trips", "saved", "per-row ms", "pipelined ms");
-  for (const auto& r : rm_results) {
-    char label[32];
-    std::snprintf(label, sizeof(label), "%.2fM", static_cast<double>(r.files) / 1e6);
-    std::printf("%-10s %16llu %16llu %11.1fx %12.0f %14.0f\n", label,
-                static_cast<unsigned long long>(r.per_row.round_trips),
-                static_cast<unsigned long long>(r.pipelined.round_trips),
-                static_cast<double>(r.per_row.round_trips) /
-                    static_cast<double>(std::max<uint64_t>(1, r.pipelined.round_trips)),
-                r.per_row.ms, r.pipelined.ms);
-    std::string prefix = "files" + std::to_string(r.files) + "_";
-    json.Metric(prefix + "per_row_trips", static_cast<double>(r.per_row.round_trips));
-    json.Metric(prefix + "pipelined_trips",
-                static_cast<double>(r.pipelined.round_trips));
-    json.Metric(prefix + "per_row_ms", r.per_row.ms);
-    json.Metric(prefix + "pipelined_ms", r.pipelined.ms);
-  }
-
   std::printf("\npaper reference (1M files): HDFS mv 357ms / HopsFS mv 5870ms;\n");
   std::printf("HDFS rm 606ms / HopsFS rm 15941ms. Shape: HDFS wins on subtree ops\n");
   std::printf("(all in RAM), HopsFS pays network reads + batched transactions, and\n");

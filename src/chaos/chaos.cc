@@ -71,7 +71,6 @@ std::string_view FaultClassName(FaultClass c) {
     case FaultClass::kDatanodeFlap: return "datanode-flap";
     case FaultClass::kNdbNodeFlap: return "ndb-node-flap";
     case FaultClass::kPausedApplier: return "paused-applier";
-    case FaultClass::kPausedPublisher: return "paused-publisher";
     case FaultClass::kPausedCleaner: return "paused-cleaner";
     case FaultClass::kNdbTableFaults: return "ndb-table-faults";
     case FaultClass::kNdbLatency: return "ndb-latency";
@@ -155,7 +154,7 @@ ChaosReport RunChaos(const ChaosOptions& options) {
   const int64_t deadline_us = options.duration.count() * 1000;
 
   // --- Heartbeat ticker -----------------------------------------------------
-  // Drives failure detection, hint drains and intent adoption throughout the
+  // Drives failure detection and intent adoption throughout the
   // run AND the heal phase; the stall set implements kHeartbeatStall.
   std::vector<std::atomic<bool>> stalled(static_cast<size_t>(options.num_namenodes));
   std::atomic<bool> tick_stop{false};
@@ -323,11 +322,6 @@ ChaosReport RunChaos(const ChaosOptions& options) {
         a.nn = &cluster->namenode(a.slot);
         a.nn->SetIntentApplierPausedForTesting(true);
         break;
-      case FaultClass::kPausedPublisher:
-        a.slot = ev.target % options.num_namenodes;
-        a.nn = &cluster->namenode(a.slot);
-        a.nn->SetHintPublisherPausedForTesting(true);
-        break;
       case FaultClass::kPausedCleaner:
         a.slot = ev.target % options.num_namenodes;
         a.nn = &cluster->namenode(a.slot);
@@ -375,9 +369,6 @@ ChaosReport RunChaos(const ChaosOptions& options) {
         break;
       case FaultClass::kPausedApplier:
         a.nn->SetIntentApplierPausedForTesting(false);
-        break;
-      case FaultClass::kPausedPublisher:
-        a.nn->SetHintPublisherPausedForTesting(false);
         break;
       case FaultClass::kPausedCleaner:
         a.nn->SetIntentCleanerPausedForTesting(false);

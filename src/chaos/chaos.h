@@ -6,10 +6,9 @@
 // handler pool from several client threads, and executes a fault PLAN -- a
 // pure function of the seed -- against it: namenode crashes (new id and
 // resumed id), stalled heartbeats, datanode flaps, NDB data-node flaps,
-// paused intent applier/cleaner and hint publisher threads, and NDB-level
-// injected faults (per-table transient errors and latency spikes through
-// kv::FaultInjector). After a global heal the run is checked against three
-// oracles:
+// paused intent applier/cleaner threads, and NDB-level injected faults
+// (per-table transient errors and latency spikes through kv::FaultInjector).
+// After a global heal the run is checked against three oracles:
 //
 //   1. Convergence: the namespace fingerprint equals a crash-free oracle
 //      cluster's replay of the acknowledged op streams.
@@ -39,12 +38,11 @@ enum class FaultClass {
   kDatanodeFlap,         // fs datanode failure + rejoin
   kNdbNodeFlap,          // NDB data node failure + recovery
   kPausedApplier,        // intent applier stalls (acked-unapplied backlog)
-  kPausedPublisher,      // hint publisher stalls (stale peer caches)
   kPausedCleaner,        // intent cleaner stalls (applied rows accumulate)
   kNdbTableFaults,       // seeded transient errors on metadata tables
   kNdbLatency,           // seeded latency spikes on every table
 };
-inline constexpr int kNumFaultClasses = 10;
+inline constexpr int kNumFaultClasses = 9;
 
 std::string_view FaultClassName(FaultClass c);
 

@@ -39,13 +39,6 @@ struct FsConfig {
   int subtree_delete_batch = 64;
   // Threads deleting subtree phase-3 batches in parallel.
   int subtree_parallelism = 4;
-  // Route subtree phase-3 delete row work through the async pipelined batch
-  // engine (in-flight inode probes + per-file fan-outs, one write batch per
-  // delete transaction). Off = the per-row phase-3 path, kept for the
-  // sync-vs-pipelined benchmark comparison. Phase-2 quiesce scans are
-  // always pipelined (there is no per-directory fallback), so an A/B run
-  // isolates exactly the phase-3 delta.
-  bool subtree_pipelined = true;
 
   // Handler threads per namenode (paper §7.1's many-handlers model). Client
   // requests are enqueued and each handler runs one operation's transaction
@@ -65,34 +58,6 @@ struct FsConfig {
   // Inode hint cache capacity (entries) per namenode; 0 disables the cache
   // (used by the ablation benchmark).
   size_t hint_cache_capacity = 1 << 20;
-
-  // Proactive cross-namenode hint invalidation (§5.1 extension): mutating
-  // namenodes append publish-event records to the DB-backed, per-namenode
-  // sharded hint_invalidations log and every namenode drains all alive
-  // peers' partitions on its heartbeat tick, invalidating the affected
-  // prefixes locally. Off = the paper's lazy repair-on-miss only (kept for
-  // the ablation benchmark; correctness never depends on the log, only
-  // round trips do).
-  bool hint_proactive_invalidation = true;
-  // Async publish stage: each namenode appends its invalidation records
-  // from a background publisher thread, coalescing every op that queued
-  // while the previous append was in flight into ONE log record -- the
-  // mutation path pays an in-memory enqueue instead of a database round
-  // trip. false = the append runs synchronously on the mutating thread
-  // (the pre-sharding behavior, kept for the latency ablation).
-  bool hint_publish_async = true;
-  // Ablation: X-lock the legacy global kVarNextHintInvalidationSeq
-  // variables row in every publish transaction, reproducing the
-  // pre-sharding design where all publishers serialized on one row. No
-  // live path reads that row; this exists so the contended multi-namenode
-  // write bench can quantify what sharding the log removed.
-  bool hint_global_seq_lock = false;
-  // GC fallback: log records older than this are reaped on the leader's
-  // heartbeat even when unacked (a drainer that died or stalls forever
-  // must not pin the log). Records acked by every alive namenode are
-  // reaped precisely, well before the TTL. Namenodes that miss reaped
-  // records simply fall back to lazy repair.
-  std::chrono::milliseconds hint_invalidation_ttl{10000};
 
   // Asynchronous metadata commits (AsyncFS/SwitchFS direction): create,
   // mkdirs and file setattr acknowledge once the op is validated, ordered

@@ -533,23 +533,31 @@ void IntentLog::CleanerLoop() {
     lock.unlock();
     if (CrashAt("cleanup:pre")) return;  // every applied row survives
     constexpr size_t kChunk = 64;
+    std::vector<IntentRecord> failed;
     for (size_t off = 0; off < recs.size(); off += kChunk) {
       std::vector<IntentRecord> chunk(
           recs.begin() + static_cast<ptrdiff_t>(off),
           recs.begin() + static_cast<ptrdiff_t>(std::min(off + kChunk, recs.size())));
-      DeleteIntentRows(chunk);
+      if (!DeleteIntentRows(chunk)) failed.insert(failed.end(), chunk.begin(), chunk.end());
       // Mid-pass crash: some chunks deleted, the rest replay idempotently.
       if (off + kChunk < recs.size() && CrashAt("cleanup:mid")) return;
     }
     if (CrashAt("cleanup:post")) return;  // all rows gone; nothing replays
     lock.lock();
+    if (!failed.empty()) {
+      // A fault outlasted the delete's retries. Requeue the rows after a
+      // pause: adoption only sweeps dead namenodes' partitions, so a row
+      // dropped here would stay in the live partition forever.
+      cleanup_queue_.insert(cleanup_queue_.end(), failed.begin(), failed.end());
+      cv_.wait_for(lock, std::chrono::milliseconds(10), [&] { return stop_ || abandoned_; });
+    }
     cleaning_ = false;
     cv_.notify_all();  // Flush waiters
   }
 }
 
-void IntentLog::DeleteIntentRows(const std::vector<IntentRecord>& recs) {
-  if (recs.empty()) return;
+bool IntentLog::DeleteIntentRows(const std::vector<IntentRecord>& recs) {
+  if (recs.empty()) return true;
   std::function<void(const kv::CostTrace&)> sink;
   {
     std::lock_guard<std::mutex> lock(trace_mu_);
@@ -576,13 +584,12 @@ void IntentLog::DeleteIntentRows(const std::vector<IntentRecord>& recs) {
     if (st.ok()) st = tx->Commit();
     if (st.ok()) {
       if (sink) sink(tx->trace());
-      return;
+      return true;
     }
     if (tx->active()) tx->Abort();
-    // At-least-once replay tolerates a leaked row: the next adoption sweep
-    // re-applies it idempotently and deletes it.
-    if (!st.IsRetryableTx()) return;
+    if (!st.IsRetryableTx()) return false;
   }
+  return false;
 }
 
 IntentLogStats IntentLog::stats() const {

@@ -5,9 +5,9 @@
 // mkdirs, file setattr) acknowledge at *intent durability*: after a
 // read-only validation the op is appended to the op_intents table -- PK
 // (nn_id, seq), partitioned by the acknowledging namenode, seq allocated
-// under the owner's intent_heads row exactly like the sharded hint log, so
-// per-namenode seq order == acknowledgment order with zero cross-namenode
-// contention -- and the client returns. A pool of
+// under the owner's intent_heads row, so per-namenode seq order ==
+// acknowledgment order with zero cross-namenode contention -- and the
+// client returns. A pool of
 // FsConfig::intent_apply_batch claimer threads drains the intents and
 // executes the real metadata transactions through the namenode's normal
 // RunTx machinery. The drain is barrier-free: each claimer pulls the first
@@ -244,8 +244,8 @@ class IntentLog {
   // the owner's intent_heads X-lock, one insert per record, head bump).
   hops::Status AppendBatchTx(std::vector<std::shared_ptr<AppendWaiter>>& batch);
   // Deletes the applied intents' rows (tolerating rows already deleted by a
-  // racing adopter), best-effort.
-  void DeleteIntentRows(const std::vector<IntentRecord>& recs);
+  // racing adopter). Returns false when the delete did not commit.
+  bool DeleteIntentRows(const std::vector<IntentRecord>& recs);
   // mu_ held. True when some pending path covers `path` (see WaitCovering).
   bool CoveredLocked(const std::string& path) const;
   // mu_ held. Drops one reserved op from `path`'s entry.

@@ -10,7 +10,6 @@
 // from the variables table and change on restart.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <mutex>
 #include <string>
@@ -42,7 +41,7 @@ class LeaderElection : public MembershipView {
   // detect liveness by counter advancement, so a counter restarting at zero
   // would read as missed heartbeats until it caught up past the previous
   // incarnation's value -- a false-death window inviting wrongful adoption
-  // and GC of the resumed namenode's log partitions.
+  // of the resumed namenode's intent partition.
   hops::Status Resume(NamenodeId id);
   // One election round: bump own counter, refresh the membership view,
   // and (when leader) garbage-collect rows of dead namenodes.
@@ -55,33 +54,16 @@ class LeaderElection : public MembershipView {
   std::vector<NamenodeId> AliveNamenodes() const;
   bool IsNamenodeAlive(NamenodeId id) const override;
 
-  // Leader-side hint-log GC counters: records reaped because every alive
-  // namenode acked past them, and records reaped by the TTL fallback
-  // (dead or stalled drainers that will never ack).
-  uint64_t hint_gc_acked_reaps() const {
-    return gc_acked_reaps_.load(std::memory_order_relaxed);
-  }
-  uint64_t hint_gc_ttl_reaps() const {
-    return gc_ttl_reaps_.load(std::memory_order_relaxed);
-  }
+  // Always 0: the cross-namenode hint log and its GC are gone (hints repair
+  // lazily on a miss). Kept only because bench/hopsbench still reads them.
+  uint64_t hint_gc_acked_reaps() const { return 0; }
+  uint64_t hint_gc_ttl_reaps() const { return 0; }
 
  private:
   struct PeerState {
     int64_t counter = -1;
     int64_t last_advance_round = 0;
   };
-
-  // One leader GC pass over the sharded hint-invalidation log: per
-  // publisher, reap records acked by every alive namenode (min over the
-  // hint_acks rows of alive drainers) plus the TTL fallback; clean up the
-  // head, record and ack rows of long-dead namenodes. `long_dead` seeds the
-  // cleanup with the rows evicted this round, but the list is re-derived
-  // every pass from "head row whose namenode has no leader row" (with a
-  // grace window against racing a just-registered publisher), so a failed
-  // cleanup transaction is retried instead of leaking the rows forever.
-  void GcHintLog(const std::vector<NamenodeId>& long_dead);
-  // Does the namenode still own a leader-table row, by the last scan?
-  bool HasPeerRow(NamenodeId nn) const;
 
   kv::Engine* const db_;
   const MetadataSchema* const schema_;
@@ -92,18 +74,6 @@ class LeaderElection : public MembershipView {
   mutable std::mutex mu_;
   int64_t round_ = 0;
   std::map<NamenodeId, PeerState> peers_;
-  // Per-publisher hint-log GC bookmark: that publisher's partition was
-  // observed empty after a reap when its head stood here, so until the head
-  // moves there is nothing to scan. Touched only from Heartbeat.
-  std::map<NamenodeId, int64_t> gc_clean_through_;
-  // Head-row owners with no leader row, by the round first noticed; cleaned
-  // up once they stay orphaned past the liveness window (a just-registered
-  // publisher whose leader row this leader has not scanned yet must not
-  // have its fresh log partition reaped under it). Touched only from
-  // Heartbeat.
-  std::map<NamenodeId, int64_t> gc_orphan_since_;
-  std::atomic<uint64_t> gc_acked_reaps_{0};
-  std::atomic<uint64_t> gc_ttl_reaps_{0};
 };
 
 }  // namespace hops::fs

@@ -114,17 +114,7 @@ hops::Result<std::unique_ptr<MiniCluster>> MiniCluster::Start(MiniClusterOptions
 }
 
 void MiniCluster::InstallDatanodePicker(Namenode& nn) {
-  nn.SetDatanodePicker([this](int count) {
-    std::vector<DatanodeId> targets;
-    size_t n = datanodes_.size();
-    if (n == 0) return targets;
-    for (size_t tried = 0; tried < n && targets.size() < static_cast<size_t>(count);
-         ++tried) {
-      Datanode& dn = *datanodes_[dn_rr_.fetch_add(1, std::memory_order_relaxed) % n];
-      if (dn.alive()) targets.push_back(dn.id());
-    }
-    return targets;
-  });
+  nn.SetDatanodePicker([this](int count) { return PickDatanodes(count); });
 }
 
 Namenode& MiniCluster::namenode(int i) {
@@ -156,6 +146,17 @@ Datanode* MiniCluster::FindDatanode(DatanodeId id) {
   return nullptr;
 }
 
+std::vector<DatanodeId> MiniCluster::PickDatanodes(int count) {
+  std::vector<DatanodeId> targets;
+  const size_t n = datanodes_.size();
+  const size_t start = dn_rr_.fetch_add(1, std::memory_order_relaxed);
+  for (size_t i = 0; i < n && targets.size() < static_cast<size_t>(count); ++i) {
+    Datanode& dn = *datanodes_[(start + i) % n];
+    if (dn.alive()) targets.push_back(dn.id());
+  }
+  return targets;
+}
+
 ClusterHintStats MiniCluster::AggregateHintStats() {
   std::lock_guard<std::mutex> lock(nn_mu_);
   ClusterHintStats out;
@@ -167,11 +168,6 @@ ClusterHintStats MiniCluster::AggregateHintStats() {
     out.cache.invalidations += s.invalidations;
     out.cache.entries_invalidated += s.entries_invalidated;
     out.cache.stale_put_rejections += s.stale_put_rejections;
-    out.proactive_applied += nn.proactive_invalidations_applied();
-    out.publish_events += nn.hint_publish_events();
-    out.publish_ops_coalesced += nn.hint_publish_ops_coalesced();
-    out.gc_acked_reaps += nn.election().hint_gc_acked_reaps();
-    out.gc_ttl_reaps += nn.election().hint_gc_ttl_reaps();
   };
   for (auto& nn : namenodes_) {
     if (nn) add(*nn);
@@ -266,13 +262,8 @@ hops::Status MiniCluster::RestartNamenodeSameId(int i) {
 
 void MiniCluster::TickHeartbeats(int rounds) {
   for (int r = 0; r < rounds; ++r) {
-    FlushHintPublishes();
     for (Namenode* nn : AliveNamenodes()) (void)nn->Heartbeat();
   }
-}
-
-void MiniCluster::FlushHintPublishes() {
-  for (Namenode* nn : AliveNamenodes()) nn->FlushHintInvalidations();
 }
 
 Client MiniCluster::NewClient(NamenodePolicy policy, const std::string& name,

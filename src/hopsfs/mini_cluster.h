@@ -22,18 +22,10 @@ struct MiniClusterOptions {
   int num_datanodes = 3;
 };
 
-// Aggregate hint-cache counters across a cluster's namenodes, plus the
-// sharded invalidation-log activity: prefixes the heartbeat drains applied,
-// publish events appended, ops coalesced into a shared append, and the
-// leader's acked-vs-TTL GC reaps. Surfaced in the workload driver report
-// and the bench_fig06 hint-cache ablation.
+// Aggregate hint-cache counters across a cluster's namenodes. Surfaced in
+// the workload driver report and the bench_fig06 hint-cache ablation.
 struct ClusterHintStats {
   InodeHintCache::Stats cache;
-  uint64_t proactive_applied = 0;
-  uint64_t publish_events = 0;
-  uint64_t publish_ops_coalesced = 0;
-  uint64_t gc_acked_reaps = 0;
-  uint64_t gc_ttl_reaps = 0;
 
   double HitRate() const {
     uint64_t lookups = cache.hits + cache.misses;
@@ -86,6 +78,11 @@ class MiniCluster {
   int num_datanodes() const { return static_cast<int>(datanodes_.size()); }
   Datanode& datanode(int i) { return *datanodes_[static_cast<size_t>(i)]; }
   Datanode* FindDatanode(DatanodeId id);
+  // Round-robin block placement over alive datanodes: up to `count` targets,
+  // the picker every namenode of this cluster uses. The shared counter steps
+  // ONCE per call and the call walks on from there, so a call's targets are
+  // always distinct even while other namenodes pick concurrently.
+  std::vector<DatanodeId> PickDatanodes(int count);
 
   // Sums every namenode's hint-cache counters (dead ones included: their
   // history is part of the run).
@@ -107,14 +104,8 @@ class MiniCluster {
   // continues, and the start-up sweep replays the previous incarnation's
   // surviving intent partition. Kills the old instance first if needed.
   hops::Status RestartNamenodeSameId(int i);
-  // One election round on every alive namenode. Each round first flushes
-  // every namenode's pending async hint publishes, so "invalidated within
-  // one tick" keeps meaning one call here even with the async publish
-  // stage.
+  // One election round on every alive namenode.
   void TickHeartbeats(int rounds = 1);
-  // Blocks until every alive namenode's queued hint-invalidation publishes
-  // are in the log (tests that inspect the log tables directly call this).
-  void FlushHintPublishes();
 
   Client NewClient(NamenodePolicy policy, const std::string& name, uint64_t seed = 42);
 

@@ -90,21 +90,12 @@ Namenode::Namenode(kv::Engine* db, const MetadataSchema* schema, const FsConfig*
   root_.is_dir = true;
   root_.owner = "hdfs";
   root_.group = "hdfs";
-  if (config->hint_proactive_invalidation && config->hint_publish_async) {
-    hint_publisher_ = std::thread([this] { HintPublisherLoop(); });
-  }
 }
 
 Namenode::~Namenode() {
   // The applier issues transactions through the handler pool and may publish
   // acknowledgments to waiting clients: stop it before anything else.
   if (intents_) intents_->Stop();
-  {
-    std::lock_guard<std::mutex> lock(hint_pub_mu_);
-    hint_pub_stop_ = true;
-  }
-  hint_pub_cv_.notify_all();
-  if (hint_publisher_.joinable()) hint_publisher_.join();
 }
 
 hops::Status Namenode::Start(std::optional<NamenodeId> resume_id) {
@@ -113,7 +104,6 @@ hops::Status Namenode::Start(std::optional<NamenodeId> resume_id) {
   } else {
     HOPS_RETURN_IF_ERROR(election_.Register());
   }
-  PrimeHintApplied();
   if (intents_) {
     intents_->Start(id_safe(),
                     [this](const IntentRecord& rec) { return ApplyIntent(rec); });
@@ -161,302 +151,15 @@ void Namenode::SetTraceSink(TraceSink sink) {
   trace_sink_ = std::move(sink);
 }
 
-void Namenode::PrimeHintApplied() {
-  // Runs before this namenode serves anything: the hint cache is empty, so
-  // no record published so far can name a stale hint here -- start every
-  // publisher's applied mark at its current head instead of replaying the
-  // retained backlog, and ack those heads so this namenode's arrival does
-  // not hold back the leader's ack-based GC.
-  if (!config_->hint_proactive_invalidation) return;
-  auto tx = db_->Begin(kv::TxHint{schema_->hint_heads, 0});
-  auto heads = tx->FullTableScan(schema_->hint_heads);
-  if (!heads.ok()) {
-    if (tx->active()) tx->Abort();
-    return;  // first drain replays the backlog: over-invalidation, safe
-  }
-  const int64_t now = MonotonicMicros();
-  kv::WriteBatch acks;
-  {
-    std::lock_guard<std::mutex> lock(hint_applied_mu_);
-    for (const auto& row : *heads) {
-      const NamenodeId publisher = row[col::kHintHeadNn].i64();
-      const int64_t head = row[col::kHintHeadNext].i64();
-      hint_applied_[publisher] = head - 1;
-      if (publisher != id_safe()) {
-        acks.Write(schema_->hint_acks, kv::Row{id_safe(), publisher, head - 1, now});
-      }
-    }
-  }
-  if (acks.size() > 0 && !tx->Execute(acks).ok()) {
-    if (tx->active()) tx->Abort();
-    return;  // acks are an optimization; TTL GC covers their absence
-  }
-  (void)tx->Commit();
-}
-
 hops::Status Namenode::Heartbeat() {
   // A dead namenode must not advance its election counter: peers would read
   // the advance as liveness and defer adoption of its orphaned intents.
   HOPS_RETURN_IF_ERROR(CheckAlive());
-  hops::Status st = election_.Heartbeat();  // leader side also GCs the hint log
-  if (alive_ && config_->hint_proactive_invalidation) DrainHintInvalidations();
+  hops::Status st = election_.Heartbeat();
   // Failover adoption: once the membership view ages a dead namenode out,
   // the leader replays its acknowledged-but-unapplied intents.
   if (alive_ && intents_ && election_.IsLeader()) AdoptOrphanedIntents();
   return st;
-}
-
-void Namenode::PublishHintInvalidation(const std::vector<std::string>& prefixes,
-                                       SubtreeOp op) {
-  for (const std::string& prefix : prefixes) hint_cache_.InvalidatePrefix(prefix);
-  if (!config_->hint_proactive_invalidation || prefixes.empty()) return;
-  // No alive peers: nothing to invalidate remotely, so skip the log append
-  // entirely (a peer joining inside the membership-staleness window simply
-  // lazy-repairs, which is always safe).
-  if (election_.AliveNamenodes().size() <= 1) return;
-  HintPublishEvent event{op, prefixes};
-  if (!config_->hint_publish_async) {
-    // Synchronous ablation path: the mutating thread pays the append.
-    std::vector<HintPublishEvent> events;
-    events.push_back(std::move(event));
-    AppendHintPublishes(std::move(events));
-    return;
-  }
-  // Async publish stage: enqueue and return -- the mutation path is done.
-  // Every event queued while the publisher thread's current append is in
-  // flight coalesces into its next log record.
-  {
-    std::lock_guard<std::mutex> lock(hint_pub_mu_);
-    if (!hint_pub_stop_) hint_pub_queue_.push_back(std::move(event));
-  }
-  hint_pub_cv_.notify_all();
-}
-
-void Namenode::HintPublisherLoop() {
-  std::unique_lock<std::mutex> lock(hint_pub_mu_);
-  for (;;) {
-    hint_pub_cv_.wait(lock, [&] {
-      return hint_pub_stop_ || (!hint_pub_queue_.empty() && !hint_pub_paused_);
-    });
-    if (hint_pub_stop_) return;
-    std::vector<HintPublishEvent> events = std::move(hint_pub_queue_);
-    hint_pub_queue_.clear();
-    hint_pub_inflight_ = true;
-    lock.unlock();
-    AppendHintPublishes(std::move(events));
-    lock.lock();
-    hint_pub_inflight_ = false;
-    hint_pub_cv_.notify_all();
-  }
-}
-
-void Namenode::FlushHintInvalidations() {
-  std::unique_lock<std::mutex> lock(hint_pub_mu_);
-  // A paused publisher (test hook) cannot drain its queue, so don't wait on
-  // that -- but an append already in flight completes on its own and MUST
-  // be waited out even when paused, or "paused means nothing reaches the
-  // log" would race with the straggler landing after this returns.
-  hint_pub_cv_.wait(lock, [&] {
-    return hint_pub_stop_ ||
-           ((hint_pub_queue_.empty() || hint_pub_paused_) && !hint_pub_inflight_);
-  });
-}
-
-void Namenode::SetHintPublisherPausedForTesting(bool paused) {
-  {
-    std::lock_guard<std::mutex> lock(hint_pub_mu_);
-    hint_pub_paused_ = paused;
-  }
-  hint_pub_cv_.notify_all();
-}
-
-void Namenode::AppendHintPublishes(std::vector<HintPublishEvent> events) {
-  if (events.empty() || !alive_) return;
-  // One record per publish event: all the coalesced ops' prefixes ride in a
-  // single row of THIS namenode's log partition. The op column keeps its
-  // meaning for a single-op event; a mixed coalesced event records 0.
-  std::vector<std::string> prefixes;
-  for (auto& e : events) {
-    for (auto& p : e.prefixes) prefixes.push_back(std::move(p));
-  }
-  const int64_t op =
-      events.size() == 1 ? static_cast<int64_t>(events[0].op) : int64_t{0};
-  const NamenodeId self = id_safe();
-  const std::string paths = EncodeHintPaths(prefixes);
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    auto tx = db_->Begin(kv::TxHint{schema_->hint_heads, static_cast<uint64_t>(self)});
-    hops::Status st;
-    if (config_->hint_global_seq_lock) {
-      // Ablation: reproduce the pre-sharding global serialization point --
-      // every publisher X-locks this one variables row until commit.
-      auto legacy = tx->Read(schema_->variables, {kVarNextHintInvalidationSeq},
-                             kv::LockMode::kExclusive);
-      if (!legacy.ok()) {
-        if (tx->active()) tx->Abort();
-        if (legacy.status().IsRetryableTx()) continue;
-        return;  // best effort: remote namenodes fall back to lazy repair
-      }
-      st = tx->Update(schema_->variables,
-                      kv::Row{kVarNextHintInvalidationSeq,
-                               (*legacy)[col::kVarValue].i64() + 1});
-      if (!st.ok()) {
-        if (tx->active()) tx->Abort();
-        if (st.IsRetryableTx()) continue;
-        return;
-      }
-    }
-    // Allocate the seq under the X lock on OUR OWN head row (a failed
-    // locked read still locks the key slot, guarding the first insert), so
-    // per-publisher sequence order equals commit order by construction: a
-    // drainer that read head h under a shared lock has every record below h
-    // committed. No other namenode ever X-locks this row.
-    int64_t seq = 1;
-    auto head = tx->Read(schema_->hint_heads, {self}, kv::LockMode::kExclusive);
-    if (head.ok()) {
-      seq = (*head)[col::kHintHeadNext].i64();
-    } else if (head.status().code() != hops::StatusCode::kNotFound) {
-      if (tx->active()) tx->Abort();
-      if (head.status().IsRetryableTx()) continue;
-      return;
-    }
-    // Monotonic stamp: the GC cutoff must never move backwards under an
-    // NTP step (namenodes share a process in this reproduction).
-    st = tx->Insert(schema_->hint_invalidations,
-                    kv::Row{self, seq, op, paths, MonotonicMicros()});
-    if (st.ok()) st = tx->Write(schema_->hint_heads, kv::Row{self, seq + 1});
-    if (st.ok()) st = tx->Commit();
-    if (st.ok()) {
-      hint_publish_events_.fetch_add(1, std::memory_order_relaxed);
-      if (events.size() > 1) {
-        hint_publish_ops_coalesced_.fetch_add(events.size() - 1,
-                                              std::memory_order_relaxed);
-      }
-      return;
-    }
-    if (tx->active()) tx->Abort();
-    if (!st.IsRetryableTx()) return;  // best effort either way
-  }
-}
-
-void Namenode::DrainHintInvalidations() {
-  // Which publishers do we care about? Every alive peer (our own records
-  // were applied locally at publish time; long-dead publishers' residue is
-  // the leader GC's business).
-  std::vector<NamenodeId> peers;
-  for (NamenodeId nn : election_.AliveNamenodes()) {
-    if (nn != id_safe()) peers.push_back(nn);
-  }
-  if (peers.empty()) return;
-  std::lock_guard<std::mutex> applied_lock(hint_applied_mu_);
-  // Prune applied marks for publishers no longer alive in our view: ids are
-  // never reused, so entries for dead namenodes are pure leak under restart
-  // churn -- and if the peer was merely stalled and returns, restarting its
-  // mark at 0 just replays its partition (over-invalidation, always safe).
-  for (auto it = hint_applied_.begin(); it != hint_applied_.end();) {
-    const bool keep = it->first == id_safe() ||
-                      std::find(peers.begin(), peers.end(), it->first) != peers.end();
-    it = keep ? std::next(it) : hint_applied_.erase(it);
-  }
-  // Read every peer's head in ONE ReadBatch. The shared lock on a head row
-  // serializes against that publisher's in-flight append (which X-locks it
-  // to commit), so once this batch returns, every record below the head is
-  // committed and the per-key fetch below cannot race past a gap. The
-  // locks are dropped at commit right away -- before the record fetch --
-  // so publishers wait at most one batched read, not a whole drain.
-  struct PeerRange {
-    NamenodeId nn = 0;
-    int64_t from = 0;  // first seq to fetch
-    int64_t to = 0;    // head: one past the last committed seq
-  };
-  std::vector<PeerRange> ranges;
-  {
-    auto tx = db_->Begin(kv::TxHint{schema_->hint_heads,
-                                     static_cast<uint64_t>(peers.front())});
-    kv::ReadBatch heads;
-    for (NamenodeId nn : peers) {
-      heads.Get(schema_->hint_heads, {nn}, kv::LockMode::kShared);
-    }
-    if (!tx->Execute(heads).ok()) {
-      if (tx->active()) tx->Abort();
-      return;  // next tick retries
-    }
-    (void)tx->Commit();
-    for (size_t i = 0; i < peers.size(); ++i) {
-      if (!heads.row(i).has_value()) continue;  // peer never published
-      const int64_t head = (*heads.row(i))[col::kHintHeadNext].i64();
-      auto it = hint_applied_.find(peers[i]);
-      int64_t applied = it == hint_applied_.end() ? 0 : it->second;
-      if (applied > head - 1) {
-        // Head regression: the leader buried this publisher's head row
-        // while it stalled and it has since restarted its log at seq 1.
-        // Everything it publishes would sit below our stale mark and be
-        // skipped forever -- reset and replay (over-invalidation is safe).
-        applied = 0;
-        hint_applied_[peers[i]] = 0;
-      }
-      if (head - 1 > applied) ranges.push_back({peers[i], applied + 1, head});
-    }
-  }
-  if (ranges.empty()) return;
-  // Fetch all publishers' new records in one batched primary-key read --
-  // records the leader already reaped come back as empty slots. A namenode
-  // that missed enough ticks to face an implausibly wide range falls back
-  // to one pruned scan per oversized publisher partition.
-  auto tx = db_->Begin(kv::TxHint{schema_->hint_invalidations,
-                                   static_cast<uint64_t>(ranges.front().nn)});
-  std::vector<kv::Row> records;
-  std::vector<kv::Key> keys;
-  for (const PeerRange& r : ranges) {
-    if (r.to - r.from > 4096) {
-      auto rows = tx->Ppis(schema_->hint_invalidations, {r.nn});
-      if (!rows.ok()) {
-        if (tx->active()) tx->Abort();
-        return;
-      }
-      for (auto& row : *rows) {
-        // Both bounds matter: records below `from` were applied already, and
-        // a record the publisher appended after our heads read (seq >= to)
-        // must wait for the next drain or it would be applied twice --
-        // hint_applied_ only advances to to-1.
-        const int64_t seq = row[col::kHintSeq].i64();
-        if (seq >= r.from && seq < r.to) records.push_back(std::move(row));
-      }
-      continue;
-    }
-    for (int64_t s = r.from; s < r.to; ++s) keys.push_back({r.nn, s});
-  }
-  if (!keys.empty()) {
-    auto got = tx->BatchRead(schema_->hint_invalidations, keys,
-                             kv::LockMode::kReadCommitted);
-    if (!got.ok()) {
-      if (tx->active()) tx->Abort();
-      return;
-    }
-    for (auto& slot : *got) {
-      if (slot.has_value()) records.push_back(*std::move(slot));
-    }
-  }
-  for (const auto& row : records) {
-    for (const std::string& prefix : DecodeHintPaths(row[col::kHintPaths].str())) {
-      hint_cache_.InvalidatePrefix(prefix);
-      proactive_applied_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  // Advance the applied vector and ack what we consumed -- the leader reaps
-  // a record once every alive namenode acked past it. The local advance
-  // must not depend on the ack commit (acks only gate GC; re-applying is
-  // idempotent, skipping is not).
-  const int64_t now = MonotonicMicros();
-  kv::WriteBatch acks;
-  for (const PeerRange& r : ranges) {
-    hint_applied_[r.nn] = r.to - 1;
-    acks.Write(schema_->hint_acks, kv::Row{id_safe(), r.nn, r.to - 1, now});
-  }
-  if (!tx->Execute(acks).ok()) {
-    if (tx->active()) tx->Abort();
-    return;
-  }
-  (void)tx->Commit();
 }
 
 void Namenode::SetDatanodePicker(std::function<std::vector<DatanodeId>(int)> picker) {
@@ -492,7 +195,8 @@ hops::Status Namenode::RunTx(std::optional<kv::TxHint> hint,
   // pool.
   const bool dispatch =
       !inline_read && !background && handlers_ != nullptr && !HandlerPool::OnHandlerThread();
-  for (int attempt = 0; attempt < config_->max_tx_retries;) {
+  int64_t conflict_deadline_us = 0;  // set by the first OCC conflict
+  for (int attempt = 0;;) {
     hops::Status st =
         dispatch
             ? handlers_->Run([&] { return RunTxAttempt(hint, body, want_trace, background,
@@ -516,10 +220,23 @@ hops::Status Namenode::RunTx(std::optional<kv::TxHint> hint,
         // contenders livelock each other. Back off with a capped exponential
         // delay before re-running the whole optimistic attempt.
         auto backoff = std::chrono::microseconds(50) * (1 << std::min(attempt, 6));
+        if (conflict_deadline_us == 0) {
+          conflict_deadline_us =
+              MonotonicMicros() +
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  db_->config().lock_wait_timeout)
+                  .count();
+        }
         std::this_thread::sleep_for(backoff);
       }
-      ++attempt;
-      continue;
+      if (++attempt < config_->max_tx_retries) continue;
+      // Out of attempts, but a conflict means another transaction committed:
+      // keep retrying for as long as a 2PL waiter would wait for the same
+      // row, so a hot writer cannot starve this one into a failure.
+      if (st.code() == hops::StatusCode::kConflict && MonotonicMicros() < conflict_deadline_us) {
+        continue;
+      }
+      break;
     }
     return st;
   }
@@ -821,7 +538,17 @@ hops::Result<Namenode::Resolved> Namenode::ResolveAndLock(
     if (!interiors_ok) {
       // Fall back to recursive resolution, repairing the cache (§5.1.1).
       hops::Status st = ResolveSuffix(tx, components, 0, r.chain, r.hint_epoch);
-      if (!st.ok()) return st;
+      if (!st.ok()) {
+        // A cached interior hint named a component that no longer exists (a
+        // peer namenode moved or deleted it): evict it and everything below
+        // it, so later resolutions stop re-reading the dead key.
+        const size_t missing = r.chain.size() - 1;
+        if (st.code() == hops::StatusCode::kNotFound && missing < hints.size()) {
+          hint_cache_.InvalidatePrefix(JoinPath(std::vector<std::string>(
+              components.begin(), components.begin() + static_cast<long>(missing) + 1)));
+        }
+        return st;
+      }
       r.chain_pvs.resize(1);
       for (size_t i = 0; i + 1 < n; ++i) {
         r.chain_pvs.push_back(
@@ -2062,9 +1789,10 @@ hops::Status Namenode::Rename(const std::string& src, const std::string& dst,
     // under dst (hints for a previously replaced/removed occupant, or
     // planted by a resolution racing this rename) now names the wrong
     // inode. Dropping only src used to leave those dst hints poisoning the
-    // batched locked reads until a miss repaired them.
-    PublishHintInvalidation({JoinPath(src_parts), JoinPath(dst_parts)},
-                            SubtreeOp::kMove);
+    // batched locked reads until a miss repaired them. Other namenodes'
+    // hints repair lazily on their next miss (§5.1).
+    hint_cache_.InvalidatePrefix(JoinPath(src_parts));
+    hint_cache_.InvalidatePrefix(JoinPath(dst_parts));
   }
   return st;
 }
@@ -2304,7 +2032,7 @@ hops::Status Namenode::Delete(const std::string& path, bool recursive,
   if (st.code() == hops::StatusCode::kNotEmpty && recursive) {
     st = SubtreeDelete(components, user);
   }
-  if (st.ok()) PublishHintInvalidation({JoinPath(components)}, SubtreeOp::kDelete);
+  if (st.ok()) hint_cache_.InvalidatePrefix(JoinPath(components));
   return st;
 }
 

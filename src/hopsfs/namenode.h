@@ -9,15 +9,12 @@
 // them and retry on failure.
 #pragma once
 
-#include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "hopsfs/config.h"
@@ -84,9 +81,8 @@ class Namenode {
   // intent partition -- its previous incarnation's acknowledged-but-
   // unapplied ops -- before serving.
   hops::Status Start(std::optional<NamenodeId> resume_id = std::nullopt);
-  // One leader-election round; drives failure detection and (when proactive
-  // hint invalidation is on) drains the hint-invalidation log, applying
-  // other namenodes' prefix invalidations to the local hint cache.
+  // One leader-election round; drives failure detection and, on the leader,
+  // adoption of dead namenodes' orphaned intents.
   hops::Status Heartbeat();
 
   NamenodeId id() const { return election_.id(); }
@@ -103,29 +99,13 @@ class Namenode {
 
   LeaderElection& election() { return election_; }
   InodeHintCache& hint_cache() { return hint_cache_; }
-  // Prefixes from OTHER namenodes' hint-invalidation log records applied
-  // locally by the heartbeat drain.
-  uint64_t proactive_invalidations_applied() const {
-    return proactive_applied_.load(std::memory_order_relaxed);
-  }
-  // Publish-side counters of the sharded invalidation log: records this
-  // namenode appended, and ops whose prefixes rode an append together with
-  // another op's (each such op is a log round trip the coalescing publisher
-  // saved).
-  uint64_t hint_publish_events() const {
-    return hint_publish_events_.load(std::memory_order_relaxed);
-  }
-  uint64_t hint_publish_ops_coalesced() const {
-    return hint_publish_ops_coalesced_.load(std::memory_order_relaxed);
-  }
-  // Blocks until every queued hint-invalidation publish has been appended
-  // to the log (no-op for the synchronous publish path). Tests and benches
-  // call this before inspecting the log or handing control to drainers.
-  void FlushHintInvalidations();
-  // Test hook: pausing keeps queued publish events from being appended so a
-  // test can deterministically force several ops to coalesce into one
-  // record; resume with false, then FlushHintInvalidations().
-  void SetHintPublisherPausedForTesting(bool paused);
+  // Always 0 / no-op: hints repair lazily on a miss and no cross-namenode
+  // invalidation log exists. Kept only because bench/hopsbench still reads
+  // them.
+  uint64_t proactive_invalidations_applied() const { return 0; }
+  uint64_t hint_publish_events() const { return 0; }
+  uint64_t hint_publish_ops_coalesced() const { return 0; }
+  void FlushHintInvalidations() {}
 
   // --- Asynchronous metadata commits (FsConfig::async_metadata_commit) ------
   // Blocks until every acknowledged intent of this namenode has been applied
@@ -490,60 +470,15 @@ class Namenode {
   // returns the next level's nodes.
   hops::Result<std::vector<SubtreeNode>> QuiesceLevel(
       const std::vector<const SubtreeNode*>& dirs);
-  // Phase-3 helper for delete: removes one batch of inodes in a transaction.
-  // Dispatches on FsConfig::subtree_pipelined between the pipelined
-  // batch-engine path and the per-row baseline.
-  hops::Status DeleteBatch(const std::vector<SubtreeNode>& batch,
-                           const std::vector<Inode>& quota_ancestors);
+  // Phase-3 helper for delete: removes one batch of inodes in a transaction
+  // through the pipelined batch engine.
   hops::Status DeleteBatchPipelined(const std::vector<SubtreeNode>& batch,
                                     const std::vector<Inode>& quota_ancestors);
-  hops::Status DeleteBatchPerRow(const std::vector<SubtreeNode>& batch,
-                                 const std::vector<Inode>& quota_ancestors);
-
-  // Proactive hint invalidation (§5.1 extension), sharded per namenode.
-  // PublishHintInvalidation invalidates `prefixes` in the local cache and
-  // hands them to the publish stage, which appends ONE record per publish
-  // event to this namenode's own log partition -- the record insert and the
-  // bump of this namenode's hint_heads row share a transaction whose X lock
-  // on that head row makes per-publisher sequence order equal commit order,
-  // without any cross-publisher shared row. With hint_publish_async the
-  // append runs on the publisher thread and every op that queued while the
-  // previous append was in flight coalesces into the next record, so the
-  // mutation path never pays the append round trip. Runs AFTER the mutation
-  // commits: a crash in between merely downgrades remote namenodes to lazy
-  // repair.
-  struct HintPublishEvent {
-    SubtreeOp op;
-    std::vector<std::string> prefixes;
-  };
-  void PublishHintInvalidation(const std::vector<std::string>& prefixes, SubtreeOp op);
-  // Appends one coalesced log record for `events` (retrying transient
-  // failures; best effort -- a dropped append downgrades peers to lazy
-  // repair). Runs on the publisher thread, or inline when
-  // hint_publish_async is off.
-  void AppendHintPublishes(std::vector<HintPublishEvent> events);
-  void HintPublisherLoop();
-  // Reads every alive peer's head in one ReadBatch, fetches the records in
-  // [applied+1, head) of each publisher's partition, applies their prefixes
-  // to the local hint cache, advances the per-publisher applied vector and
-  // writes per-(drainer, publisher) ack rows the leader GCs by. Called from
-  // Heartbeat.
-  void DrainHintInvalidations();
-  // Starts the per-publisher applied vector at the current heads (the cache
-  // is empty before Start, so the backlog cannot concern us) and acks those
-  // heads so this namenode does not hold back the leader's ack-based GC.
-  // On failure the vector stays empty and the first drain replays the
-  // retained backlog (over-invalidation, which is always safe).
-  void PrimeHintApplied();
 
   hops::Status CheckAlive() const {
     return alive_ ? hops::Status::Ok() : hops::Status::Failover("namenode is down");
   }
   NamenodeId id_safe() const;
-  // Deletes an inode row trying both partition rules (rows that crossed the
-  // random-partition boundary in a move keep their insert-time partition).
-  hops::Status DeleteInodeRow(kv::Txn& tx, InodeId parent, const std::string& name,
-                              int depth, bool* existed);
 
   // Single-transaction rename used for files and empty directories; directory
   // renames with children go through SubtreeRename.
@@ -564,23 +499,6 @@ class Namenode {
   IdAllocator inode_ids_;
   IdAllocator block_ids_;
   Inode root_;  // immutable, cached at every namenode (§4.2.1)
-  // Per-publisher applied high-water marks (largest seq of each publisher's
-  // log partition applied or skipped; primed to the heads by Start, before
-  // this namenode serves anything). Touched by Start and Heartbeat only.
-  std::mutex hint_applied_mu_;
-  std::map<NamenodeId, int64_t> hint_applied_;
-  std::atomic<uint64_t> proactive_applied_{0};
-  std::atomic<uint64_t> hint_publish_events_{0};
-  std::atomic<uint64_t> hint_publish_ops_coalesced_{0};
-  // The async publish stage: mutating threads enqueue events, the publisher
-  // thread appends them (coalesced) to this namenode's log partition.
-  std::mutex hint_pub_mu_;
-  std::condition_variable hint_pub_cv_;
-  std::vector<HintPublishEvent> hint_pub_queue_;
-  bool hint_pub_stop_ = false;
-  bool hint_pub_paused_ = false;
-  bool hint_pub_inflight_ = false;
-  std::thread hint_publisher_;
   std::atomic<bool> alive_{true};
   DieAt die_at_;
   std::function<std::vector<DatanodeId>(int)> dn_picker_;

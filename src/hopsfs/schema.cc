@@ -113,60 +113,14 @@ Schema VariablesSchema() {
   return s;
 }
 
-Schema HintInvalidationSchema() {
-  // Sharded per publishing namenode: PK (nn_id, seq) partitioned by nn_id,
-  // so publishers append to disjoint partitions and never contend. One row
-  // per publish event; `paths` carries every coalesced prefix (see
-  // EncodeHintPaths).
-  Schema s;
-  s.table_name = "hint_invalidations";
-  s.columns = {{"nn_id", ColumnType::kInt64},
-               {"seq", ColumnType::kInt64},
-               {"op", ColumnType::kInt64},
-               {"paths", ColumnType::kString},
-               {"mtime", ColumnType::kInt64}};
-  s.primary_key = {0, 1};
-  s.partition_key = {0};
-  return s;
-}
-
-Schema HintHeadSchema() {
-  // A publisher's next log sequence number. Only the owning namenode ever
-  // X-locks its row (held to commit alongside the record insert, so a
-  // drainer that read head h has every record below h committed); drainers
-  // take brief S locks.
-  Schema s;
-  s.table_name = "hint_heads";
-  s.columns = {{"nn_id", ColumnType::kInt64}, {"next_seq", ColumnType::kInt64}};
-  s.primary_key = {0};
-  s.partition_key = {0};
-  return s;
-}
-
-Schema HintAckSchema() {
-  // (drainer, publisher) -> highest seq of the publisher's log the drainer
-  // has applied. The leader reaps a record once every alive namenode other
-  // than the publisher acked past it; TTL stays as the fallback for rows no
-  // ack will ever cover.
-  Schema s;
-  s.table_name = "hint_acks";
-  s.columns = {{"drainer", ColumnType::kInt64},
-               {"publisher", ColumnType::kInt64},
-               {"acked_seq", ColumnType::kInt64},
-               {"mtime", ColumnType::kInt64}};
-  s.primary_key = {0, 1};
-  s.partition_key = {0};
-  return s;
-}
-
 Schema OpIntentSchema() {
   // Asynchronous metadata commit intent log (one row per acknowledged
-  // mutation), sharded per acknowledging namenode like hint_invalidations:
-  // PK (nn_id, seq) partitioned by nn_id, seq allocated under the owner's
-  // intent_heads row so per-namenode seq order == acknowledgment order. A
-  // row is deleted once its apply transaction commits; replay is therefore
-  // at-least-once and every intent op is idempotent (a re-applied create
-  // maps AlreadyExists to applied).
+  // mutation), sharded per acknowledging namenode: PK (nn_id, seq)
+  // partitioned by nn_id, seq allocated under the owner's intent_heads row
+  // so per-namenode seq order == acknowledgment order. A row is deleted once
+  // its apply transaction commits; replay is therefore at-least-once and
+  // every intent op is idempotent (a re-applied create maps AlreadyExists to
+  // applied).
   Schema s;
   s.table_name = "op_intents";
   s.columns = {{"nn_id", ColumnType::kInt64}, {"seq", ColumnType::kInt64},
@@ -182,7 +136,7 @@ Schema OpIntentSchema() {
 
 Schema IntentHeadSchema() {
   // A namenode's next intent sequence number; only the owner X-locks it
-  // (held to commit alongside the intent inserts), mirroring hint_heads.
+  // (held to commit alongside the intent inserts).
   Schema s;
   s.table_name = "intent_heads";
   s.columns = {{"nn_id", ColumnType::kInt64}, {"next_seq", ColumnType::kInt64}};
@@ -225,12 +179,6 @@ hops::Result<MetadataSchema> MetadataSchema::Format(kv::Engine& cluster) {
   m.leader = leader;
   HOPS_ASSIGN_OR_RETURN(variables, cluster.CreateTable(VariablesSchema()));
   m.variables = variables;
-  HOPS_ASSIGN_OR_RETURN(hint_inv, cluster.CreateTable(HintInvalidationSchema()));
-  m.hint_invalidations = hint_inv;
-  HOPS_ASSIGN_OR_RETURN(hint_heads, cluster.CreateTable(HintHeadSchema()));
-  m.hint_heads = hint_heads;
-  HOPS_ASSIGN_OR_RETURN(hint_acks, cluster.CreateTable(HintAckSchema()));
-  m.hint_acks = hint_acks;
   HOPS_ASSIGN_OR_RETURN(op_intents, cluster.CreateTable(OpIntentSchema()));
   m.op_intents = op_intents;
   HOPS_ASSIGN_OR_RETURN(intent_heads, cluster.CreateTable(IntentHeadSchema()));
@@ -250,35 +198,8 @@ hops::Result<MetadataSchema> MetadataSchema::Format(kv::Engine& cluster) {
       tx->Insert(m.variables, kv::Row{kVarNextInodeId, kRootInode + 1}));
   HOPS_RETURN_IF_ERROR(tx->Insert(m.variables, kv::Row{kVarNextBlockId, int64_t{1}}));
   HOPS_RETURN_IF_ERROR(tx->Insert(m.variables, kv::Row{kVarNextNamenodeId, int64_t{1}}));
-  HOPS_RETURN_IF_ERROR(
-      tx->Insert(m.variables, kv::Row{kVarNextHintInvalidationSeq, int64_t{1}}));
   HOPS_RETURN_IF_ERROR(tx->Commit());
   return m;
-}
-
-std::string EncodeHintPaths(const std::vector<std::string>& prefixes) {
-  std::string out;
-  for (size_t i = 0; i < prefixes.size(); ++i) {
-    if (i > 0) out += '\0';
-    out += prefixes[i];
-  }
-  return out;
-}
-
-std::vector<std::string> DecodeHintPaths(const std::string& encoded) {
-  std::vector<std::string> out;
-  if (encoded.empty()) return out;
-  size_t i = 0;
-  for (;;) {
-    size_t j = encoded.find('\0', i);
-    if (j == std::string::npos) {
-      out.push_back(encoded.substr(i));
-      break;
-    }
-    out.push_back(encoded.substr(i, j - i));
-    i = j + 1;
-  }
-  return out;
 }
 
 kv::Row ToRow(const Inode& n) {

@@ -13,18 +13,6 @@
 //   active_subtree_ops PK (inode_id)  (paper §6.1 phase 1)
 //   leader             PK (namenode_id) (election & membership, §3)
 //   variables          PK (var_id)    (id allocation counters)
-//   hint_invalidations PK (nn_id, seq)   partition nn_id
-//                      (proactive hint-cache invalidation log, sharded per
-//                      publishing namenode: one record per *publish event*
-//                      carrying every prefix of the coalesced ops; drained
-//                      by every namenode's heartbeat tick)
-//   hint_heads         PK (nn_id)        partition nn_id
-//                      (a publisher's next log seq; only its owner ever
-//                      X-locks it, so concurrent publishers share no rows)
-//   hint_acks          PK (drainer, publisher)  partition drainer
-//                      (high-water mark a drainer has applied of a
-//                      publisher's log; the leader GCs a record once every
-//                      alive namenode acked past it)
 //   op_intents         PK (nn_id, seq)   partition nn_id
 //                      (asynchronous metadata commit intent log, sharded per
 //                      acknowledging namenode: one row per acknowledged
@@ -33,7 +21,7 @@
 //                      leader in seq order)
 //   intent_heads       PK (nn_id)        partition nn_id
 //                      (a namenode's next intent seq; only its owner ever
-//                      X-locks it, mirroring hint_heads)
+//                      X-locks it)
 #pragma once
 
 #include "hopsfs/types.h"
@@ -67,13 +55,6 @@ inline constexpr size_t kSubtreeInode = 0, kSubtreeNn = 1, kSubtreeOp = 2, kSubt
 inline constexpr size_t kLeaderNn = 0, kLeaderCounter = 1, kLeaderLocation = 2;
 // variables
 inline constexpr size_t kVarId = 0, kVarValue = 1;
-// hint_invalidations
-inline constexpr size_t kHintNn = 0, kHintSeq = 1, kHintOp = 2, kHintPaths = 3,
-    kHintMtime = 4;
-// hint_heads
-inline constexpr size_t kHintHeadNn = 0, kHintHeadNext = 1;
-// hint_acks
-inline constexpr size_t kAckDrainer = 0, kAckPublisher = 1, kAckSeq = 2, kAckMtime = 3;
 // op_intents
 inline constexpr size_t kIntentNn = 0, kIntentSeq = 1, kIntentOp = 2, kIntentPath = 3,
     kIntentClient = 4, kIntentUser = 5, kIntentSuper = 6, kIntentPerm = 7, kIntentOwner = 8,
@@ -86,20 +67,12 @@ inline constexpr size_t kIntentHeadNn = 0, kIntentHeadNext = 1;
 inline constexpr int64_t kVarNextInodeId = 0;
 inline constexpr int64_t kVarNextBlockId = 1;
 inline constexpr int64_t kVarNextNamenodeId = 2;
-// LEGACY global hint-invalidation sequence row. The sharded log keys
-// records by (publisher, per-publisher seq) and orders each partition with
-// the publisher's own hint_heads row, so no live path reads this row any
-// more -- it survives only as the contention injector for the
-// FsConfig::hint_global_seq_lock ablation, which X-locks it in every
-// publish transaction to reproduce the pre-sharding global serialization
-// point.
-inline constexpr int64_t kVarNextHintInvalidationSeq = 3;
 
 // Creates every table and owns their ids.
 struct MetadataSchema {
   kv::TableId inodes{}, blocks{}, replicas{}, urb{}, prb{}, cr{}, ruc{}, er{}, inv{},
       leases{}, quotas{}, block_lookup{}, active_subtree_ops{}, leader{}, variables{},
-      hint_invalidations{}, hint_heads{}, hint_acks{}, op_intents{}, intent_heads{};
+      op_intents{}, intent_heads{};
 
   // Creates all tables in `cluster` plus the root inode and id counters.
   static hops::Result<MetadataSchema> Format(kv::Engine& cluster);
@@ -110,13 +83,6 @@ struct MetadataSchema {
 };
 
 // --- Codecs -----------------------------------------------------------------
-// A hint-invalidation record's paths column: every prefix of a coalesced
-// publish event in one string, NUL-separated ('\0' can appear in no legal
-// path component -- SplitPath splits on '/', and the filesystem never stores
-// NUL bytes in names).
-std::string EncodeHintPaths(const std::vector<std::string>& prefixes);
-std::vector<std::string> DecodeHintPaths(const std::string& encoded);
-
 kv::Row ToRow(const Inode& inode);
 Inode InodeFromRow(const kv::Row& row);
 kv::Row ToRow(const Block& block);

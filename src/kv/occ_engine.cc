@@ -688,10 +688,13 @@ hops::Status OccTxn::Commit() {
       if (current != obs.version) {
         s.occ_conflicts.fetch_add(1, std::memory_order_relaxed);
         s.occ_key_conflicts.fetch_add(1, std::memory_order_relaxed);
+        // Build the message first: Abort() clears read_set_, which frees the
+        // node `table_id` refers to.
+        hops::Status conflict = hops::Status::Conflict(
+            "validated read of " + engine_->schema(table_id).table_name +
+            " changed before commit");
         Abort();
-        return hops::Status::Conflict("validated read of " +
-                                      engine_->schema(table_id).table_name +
-                                      " changed before commit");
+        return conflict;
       }
     }
     for (const RangeObs& range : range_set_) {

@@ -97,7 +97,7 @@ struct ClusterStats {
   // (whether eventually granted or timed out). A workload whose writers
   // share no rows keeps this at 0; a global serialization point -- e.g. a
   // counter row every transaction X-locks to commit -- shows up here first,
-  // long before lock_timeouts. The hint-log sharding win shows up here.
+  // long before lock_timeouts.
   uint64_t lock_waits = 0;
   // Simulated namenode<->database round trips across all accesses (batched
   // operations count once however many rows/partitions they touch; commits

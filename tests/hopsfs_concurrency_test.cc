@@ -270,9 +270,9 @@ TEST_F(ConcurrencyTest, HotspotDirectoryStillCorrectUnderContention) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-namenode hint staleness: a rename / subtree-rename on NN-A must be
-// survivable on NN-B immediately (lazy repair through the stale hint) and
-// *invalidated* on NN-B within one heartbeat drain of the invalidation log.
+// Multi-namenode hint staleness (§5.1): a rename / subtree op on NN-A leaves
+// NN-B's hints stale. NN-B must resolve correctly through them with no
+// heartbeat in between, and a resolution that proves a hint dead evicts it.
 // ---------------------------------------------------------------------------
 
 TEST_F(ConcurrencyTest, CrossNamenodeRenameStalenessRepairsLazilyBeforeTheTick) {
@@ -296,37 +296,26 @@ TEST_F(ConcurrencyTest, CrossNamenodeRenameStalenessRepairsLazilyBeforeTheTick) 
   EXPECT_LT(b.hint_cache().PeekChain({"stale", "f"}).hints.size(), 2u);
 }
 
-TEST_F(ConcurrencyTest, SubtreeRenameInvalidatesPeerHintsWithinOneTick) {
+TEST_F(ConcurrencyTest, SubtreeRenameRepairsPeerHintsLazily) {
   Namenode& a = cluster_->namenode(0);
+  Namenode& b = cluster_->namenode(1);
   ASSERT_TRUE(a.Mkdirs("/pro/dir").ok());
   ASSERT_TRUE(a.Create("/pro/dir/f", "c").ok());
   ASSERT_TRUE(a.CompleteFile("/pro/dir/f", "c").ok());
-  // Every peer namenode caches the 3-deep chain.
-  for (int i = 1; i < cluster_->num_namenodes(); ++i) {
-    ASSERT_TRUE(cluster_->namenode(i).GetFileInfo("/pro/dir/f").ok());
-    ASSERT_EQ(cluster_->namenode(i).hint_cache().PeekChain({"pro", "dir", "f"}).hints.size(),
-              3u);
-  }
+  ASSERT_TRUE(b.GetFileInfo("/pro/dir/f").ok());
   // /pro/dir has a child, so this goes through the subtree protocol (§6).
   ASSERT_TRUE(a.Rename("/pro/dir", "/pro/dir2").ok());
-  // Peers are stale until they drain the invalidation log...
-  ASSERT_EQ(cluster_->namenode(1).hint_cache().PeekChain({"pro", "dir", "f"}).hints.size(),
-            3u);
-  // ...and clean within ONE heartbeat tick.
-  cluster_->TickHeartbeats();
-  for (int i = 1; i < cluster_->num_namenodes(); ++i) {
-    Namenode& peer = cluster_->namenode(i);
-    EXPECT_LE(peer.hint_cache().PeekChain({"pro", "dir"}).hints.size(), 1u)
-        << "nn" << i << " must have dropped the /pro/dir prefix";
-    EXPECT_GT(peer.proactive_invalidations_applied(), 0u);
-    EXPECT_TRUE(peer.GetFileInfo("/pro/dir2/f").ok());
-    EXPECT_EQ(peer.GetFileInfo("/pro/dir/f").status().code(),
-              hops::StatusCode::kNotFound);
-  }
-  EXPECT_GT(cluster_->AggregateHintStats().proactive_applied, 0u);
+  // No heartbeat: NN-B still holds the whole 3-deep stale chain.
+  ASSERT_EQ(b.hint_cache().PeekChain({"pro", "dir", "f"}).hints.size(), 3u);
+  EXPECT_TRUE(b.GetFileInfo("/pro/dir2/f").ok());
+  EXPECT_EQ(b.GetFileInfo("/pro/dir/f").status().code(), hops::StatusCode::kNotFound);
+  // The NotFound resolution evicted the dead /pro/dir hint and everything
+  // hanging off it; /pro itself is still live.
+  EXPECT_EQ(b.hint_cache().PeekChain({"pro", "dir", "f"}).hints.size(), 1u);
+  EXPECT_EQ(b.GetFileInfo("/pro/dir/f").status().code(), hops::StatusCode::kNotFound);
 }
 
-TEST_F(ConcurrencyTest, DeleteOnOneNamenodeInvalidatesPeersWithinOneTick) {
+TEST_F(ConcurrencyTest, SubtreeDeleteRepairsPeerHintsLazily) {
   Namenode& a = cluster_->namenode(0);
   Namenode& b = cluster_->namenode(1);
   ASSERT_TRUE(a.Mkdirs("/gone/sub").ok());
@@ -335,9 +324,66 @@ TEST_F(ConcurrencyTest, DeleteOnOneNamenodeInvalidatesPeersWithinOneTick) {
   ASSERT_TRUE(b.GetFileInfo("/gone/sub/f").ok());
   ASSERT_TRUE(a.Delete("/gone", true).ok());
   ASSERT_EQ(b.hint_cache().PeekChain({"gone", "sub", "f"}).hints.size(), 3u);
-  cluster_->TickHeartbeats();
-  EXPECT_TRUE(b.hint_cache().PeekChain({"gone"}).hints.empty());
   EXPECT_EQ(b.GetFileInfo("/gone/sub/f").status().code(), hops::StatusCode::kNotFound);
+  EXPECT_TRUE(b.hint_cache().PeekChain({"gone"}).hints.empty());
+  // Recreating the path on NN-A is visible on NN-B at once.
+  ASSERT_TRUE(a.Mkdirs("/gone/sub").ok());
+  EXPECT_TRUE(b.GetFileInfo("/gone/sub").ok());
+}
+
+TEST_F(ConcurrencyTest, ConcurrentDatanodePicksAreAlwaysDistinct) {
+  // Every namenode of the cluster places replicas through this one picker,
+  // and namenodes pick concurrently. A call's targets must never repeat a
+  // datanode (a duplicate fails addBlock with ALREADY_EXISTS).
+  constexpr int kThreads = 8, kPicks = 2000;
+  const int replicas = cluster_->num_datanodes();
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPicks; ++i) {
+        std::vector<DatanodeId> targets = cluster_->PickDatanodes(replicas);
+        std::sort(targets.begin(), targets.end());
+        if (static_cast<int>(targets.size()) != replicas ||
+            std::adjacent_find(targets.begin(), targets.end()) != targets.end()) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
+TEST_F(ConcurrencyTest, ConcurrentAddBlockAcrossNamenodesNeverDuplicatesATarget) {
+  constexpr int kThreads = 8, kBlocks = 200;
+  Client setup = cluster_->NewClient(NamenodePolicy::kRoundRobin, "setup");
+  ASSERT_TRUE(setup.Mkdirs("/blk").ok());
+  std::atomic<int> already_exists{0}, other_failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Namenode& nn = cluster_->namenode(t % 2);
+      const std::string client = "w" + std::to_string(t);
+      const std::string path = "/blk/f" + std::to_string(t);
+      if (!nn.Create(path, client).ok()) {
+        other_failures.fetch_add(1);
+        return;
+      }
+      for (int i = 0; i < kBlocks; ++i) {
+        auto block = nn.AddBlock(path, client, 1);
+        if (block.ok()) continue;
+        if (block.status().code() == hops::StatusCode::kAlreadyExists) {
+          already_exists.fetch_add(1);
+        } else {
+          other_failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(already_exists.load(), 0);
+  EXPECT_EQ(other_failures.load(), 0);
 }
 
 TEST_F(ConcurrencyTest, RenameInvalidatesDestinationPrefixHints) {
@@ -381,308 +427,6 @@ TEST_F(ConcurrencyTest, CreateOverStaleHintStillCachesTheNewInode) {
   ASSERT_EQ(hints.size(), 2u);
   EXPECT_EQ(hints[1].inode_id, info->inode_id);
   EXPECT_EQ(b.hint_cache().stats().stale_put_rejections, 0u);
-}
-
-TEST(HintInvalidationLogTest, LeaderReapsExpiredRecords) {
-  MiniClusterOptions options;
-  options.num_namenodes = 2;
-  options.fs.hint_invalidation_ttl = std::chrono::milliseconds(0);
-  auto cluster_or = MiniCluster::Start(options);
-  ASSERT_TRUE(cluster_or.ok());
-  auto& cluster = *cluster_or;
-  Namenode& a = cluster->namenode(0);
-  ASSERT_TRUE(a.Create("/f", "c").ok());
-  ASSERT_TRUE(a.CompleteFile("/f", "c").ok());
-  ASSERT_TRUE(a.Rename("/f", "/g").ok());
-  cluster->FlushHintPublishes();
-  auto scan_rows = [&] {
-    auto tx = cluster->db().Begin();
-    auto rows = tx->FullTableScan(cluster->schema().hint_invalidations);
-    (void)tx->Commit();
-    return rows.ok() ? *rows : std::vector<ndb::Row>{};
-  };
-  auto rows = scan_rows();
-  ASSERT_EQ(rows.size(), 1u) << "ONE record per publish event, all prefixes in one row";
-  EXPECT_EQ(DecodeHintPaths(rows[0][col::kHintPaths].str()),
-            (std::vector<std::string>{"/f", "/g"}))
-      << "the rename's src and dst prefixes ride the same record";
-  EXPECT_EQ(rows[0][col::kHintNn].i64(), a.id());
-  // ttl 0: the leader's next heartbeat reaps everything already drained or
-  // not -- staleness on slow peers degrades to lazy repair, never to error.
-  cluster->TickHeartbeats();
-  EXPECT_TRUE(scan_rows().empty());
-}
-
-// ---------------------------------------------------------------------------
-// The sharded hint-invalidation log: per-publisher partitions + per-NN head
-// rows keep concurrent publishers off any shared row; acks let the leader GC
-// precisely; the coalescing publisher folds queued ops into one record.
-// ---------------------------------------------------------------------------
-
-class ShardedHintLogTest : public ::testing::Test {
- protected:
-  static std::unique_ptr<MiniCluster> MakeCluster(int num_namenodes, bool publish_async,
-                                                  bool global_seq_lock,
-                                                  std::chrono::milliseconds ttl =
-                                                      std::chrono::milliseconds(600000)) {
-    MiniClusterOptions options;
-    options.db.num_datanodes = 4;
-    options.db.replication = 2;
-    options.num_namenodes = num_namenodes;
-    options.num_datanodes = 3;
-    options.fs.hint_publish_async = publish_async;
-    options.fs.hint_global_seq_lock = global_seq_lock;
-    options.fs.hint_invalidation_ttl = ttl;
-    auto cluster = MiniCluster::Start(options);
-    EXPECT_TRUE(cluster.ok()) << cluster.status().ToString();
-    return *std::move(cluster);
-  }
-
-  static size_t CountRows(MiniCluster& cluster, ndb::TableId table) {
-    return cluster.db().TableRowCount(table);
-  }
-};
-
-TEST_F(ShardedHintLogTest, PublishNeverTouchesTheLegacyGlobalSeqRow) {
-  // The strongest form of "the global serialization point is gone": a
-  // transaction holds the legacy seq row X-locked for the whole test, and a
-  // publish still completes without a single lock wait.
-  auto cluster = MakeCluster(2, /*publish_async=*/true, /*global_seq_lock=*/false);
-  Namenode& a = cluster->namenode(0);
-  ASSERT_TRUE(a.Create("/solo", "c").ok());
-  ASSERT_TRUE(a.CompleteFile("/solo", "c").ok());
-  auto blocker = cluster->db().Begin();
-  ASSERT_TRUE(blocker
-                  ->Read(cluster->schema().variables, {kVarNextHintInvalidationSeq},
-                         ndb::LockMode::kExclusive)
-                  .ok());
-  cluster->db().ResetStats();
-  ASSERT_TRUE(a.Rename("/solo", "/solo2").ok());
-  cluster->FlushHintPublishes();
-  blocker->Abort();
-  EXPECT_EQ(cluster->db().StatsSnapshot().lock_waits, 0u);
-  EXPECT_EQ(a.hint_publish_events(), 1u);
-}
-
-TEST_F(ShardedHintLogTest, GlobalSeqLockAblationBlocksBehindTheSharedRow) {
-  // The baseline the bench compares against: with hint_global_seq_lock the
-  // publish transaction must wait out a holder of the one shared row.
-  auto cluster = MakeCluster(2, /*publish_async=*/false, /*global_seq_lock=*/true);
-  Namenode& a = cluster->namenode(0);
-  ASSERT_TRUE(a.Create("/held", "c").ok());
-  ASSERT_TRUE(a.CompleteFile("/held", "c").ok());
-  auto blocker = cluster->db().Begin();
-  ASSERT_TRUE(blocker
-                  ->Read(cluster->schema().variables, {kVarNextHintInvalidationSeq},
-                         ndb::LockMode::kExclusive)
-                  .ok());
-  cluster->db().ResetStats();
-  std::thread renamer([&] { ASSERT_TRUE(a.Rename("/held", "/held2").ok()); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  ASSERT_TRUE(blocker->Commit().ok());
-  renamer.join();
-  if (cluster->db().kind() == kv::EngineKind::kNdb) {
-    // Lock waits are a 2PL phenomenon; under OCC the publish proceeds
-    // without blocking and the ablation row costs nothing.
-    EXPECT_GE(cluster->db().StatsSnapshot().lock_waits, 1u)
-        << "the synchronous global-seq publish must have blocked on the row";
-  }
-}
-
-TEST_F(ShardedHintLogTest, ConcurrentPublishersShareNoRows) {
-  // N namenodes publishing concurrently over disjoint namespaces: the
-  // sharded log keeps every publish on its own (head, record) rows, so the
-  // whole run completes with ZERO lock waits anywhere in the database.
-  constexpr int kNamenodes = 3, kRenames = 12;
-  auto cluster = MakeCluster(kNamenodes, /*publish_async=*/false,
-                             /*global_seq_lock=*/false);
-  for (int t = 0; t < kNamenodes; ++t) {
-    Namenode& nn = cluster->namenode(t);
-    const std::string base = "/pub" + std::to_string(t);
-    ASSERT_TRUE(nn.Mkdirs(base).ok());
-    for (int i = 0; i < kRenames; ++i) {
-      ASSERT_TRUE(nn.Create(base + "/f" + std::to_string(i), "c").ok());
-      ASSERT_TRUE(nn.CompleteFile(base + "/f" + std::to_string(i), "c").ok());
-    }
-  }
-  cluster->db().ResetStats();
-  hops::ThreadPool pool(kNamenodes);
-  for (int t = 0; t < kNamenodes; ++t) {
-    pool.Submit([&, t] {
-      Namenode& nn = cluster->namenode(t);
-      const std::string base = "/pub" + std::to_string(t);
-      for (int i = 0; i < kRenames; ++i) {
-        ASSERT_TRUE(nn.Rename(base + "/f" + std::to_string(i),
-                              base + "/g" + std::to_string(i))
-                        .ok());
-      }
-    });
-  }
-  pool.Wait();
-  auto stats = cluster->db().StatsSnapshot();
-  EXPECT_EQ(stats.lock_waits, 0u) << "no publisher ever waited on another's rows";
-  auto hint = cluster->AggregateHintStats();
-  EXPECT_EQ(hint.publish_events, static_cast<uint64_t>(kNamenodes * kRenames))
-      << "synchronous publishes append one record each";
-}
-
-TEST_F(ShardedHintLogTest, LeaderGcReapsByAcksLongBeforeTheTtl) {
-  auto cluster = MakeCluster(3, /*publish_async=*/true, /*global_seq_lock=*/false);
-  Namenode& a = cluster->namenode(0);
-  ASSERT_TRUE(a.Create("/acked", "c").ok());
-  ASSERT_TRUE(a.CompleteFile("/acked", "c").ok());
-  ASSERT_TRUE(a.Rename("/acked", "/acked2").ok());
-  cluster->FlushHintPublishes();
-  ASSERT_EQ(CountRows(*cluster, cluster->schema().hint_invalidations), 1u);
-  // Tick 1: every peer drains and writes its (drainer, publisher) ack.
-  // Tick 2: the leader sees every alive namenode acked past the record and
-  // reaps it -- the 10-minute TTL never comes into play.
-  cluster->TickHeartbeats(2);
-  EXPECT_EQ(CountRows(*cluster, cluster->schema().hint_invalidations), 0u);
-  auto hint = cluster->AggregateHintStats();
-  EXPECT_GE(hint.gc_acked_reaps, 1u);
-  EXPECT_EQ(hint.gc_ttl_reaps, 0u);
-  EXPECT_GT(hint.proactive_applied, 0u);
-}
-
-TEST_F(ShardedHintLogTest, DeadDrainerStopsPinningTheLogOnceDeclaredDead) {
-  auto cluster = MakeCluster(3, /*publish_async=*/true, /*global_seq_lock=*/false);
-  Namenode& a = cluster->namenode(0);
-  // Kill one drainer BEFORE the publish: it will never ack this record.
-  cluster->KillNamenode(2);
-  ASSERT_TRUE(a.Create("/lag", "c").ok());
-  ASSERT_TRUE(a.CompleteFile("/lag", "c").ok());
-  ASSERT_TRUE(a.Rename("/lag", "/lag2").ok());
-  cluster->FlushHintPublishes();
-  ASSERT_EQ(CountRows(*cluster, cluster->schema().hint_invalidations), 1u);
-  // While the dead namenode is still within its liveness window it counts
-  // as alive, its missing ack holds the minimum at 0, and the record stays.
-  cluster->TickHeartbeats();
-  EXPECT_EQ(CountRows(*cluster, cluster->schema().hint_invalidations), 1u);
-  // Once the survivors' election view declares it dead, the min runs over
-  // the remaining alive namenodes only -- the ack GC proceeds without TTL.
-  cluster->TickHeartbeats(4);
-  EXPECT_EQ(CountRows(*cluster, cluster->schema().hint_invalidations), 0u);
-  auto hint = cluster->AggregateHintStats();
-  EXPECT_GE(hint.gc_acked_reaps, 1u);
-  EXPECT_EQ(hint.gc_ttl_reaps, 0u);
-}
-
-TEST_F(ShardedHintLogTest, DeadPublisherRowsAreDrainedThenFullyCleaned) {
-  auto cluster = MakeCluster(3, /*publish_async=*/true, /*global_seq_lock=*/false);
-  Namenode& a = cluster->namenode(0);
-  Namenode& b = cluster->namenode(1);
-  ASSERT_TRUE(a.Mkdirs("/doomed/sub").ok());
-  ASSERT_TRUE(a.Create("/doomed/sub/f", "c").ok());
-  ASSERT_TRUE(a.CompleteFile("/doomed/sub/f", "c").ok());
-  ASSERT_TRUE(b.GetFileInfo("/doomed/sub/f").ok());  // B caches the chain
-  ASSERT_TRUE(a.Delete("/doomed", true).ok());
-  cluster->FlushHintPublishes();
-  cluster->KillNamenode(0);  // the publisher dies right after its append
-  // Survivors still drain the dead publisher's record within one tick...
-  cluster->TickHeartbeats();
-  EXPECT_TRUE(b.hint_cache().PeekChain({"doomed"}).hints.empty());
-  EXPECT_GT(b.proactive_invalidations_applied(), 0u);
-  // ...and once the publisher ages out entirely (4x the liveness window),
-  // the leader clears its head row, records and orphan acks.
-  cluster->TickHeartbeats(14);
-  EXPECT_EQ(CountRows(*cluster, cluster->schema().hint_invalidations), 0u);
-  EXPECT_EQ(CountRows(*cluster, cluster->schema().hint_heads), 0u);
-  EXPECT_EQ(CountRows(*cluster, cluster->schema().hint_acks), 0u)
-      << "acks naming the dead publisher are orphans and must go too";
-}
-
-TEST_F(ShardedHintLogTest, OrphanHeadRowsAreSweptAfterAGraceWindow) {
-  // The residue a cleanup transaction that failed mid-eviction would leave
-  // behind: a head row (and acks) whose owner has no leader row. The GC
-  // re-derives its cleanup list every pass, so the rows are buried once the
-  // orphan outlives the grace window -- not leaked forever.
-  auto cluster = MakeCluster(2, /*publish_async=*/true, /*global_seq_lock=*/false);
-  {
-    auto tx = cluster->db().Begin();
-    ASSERT_TRUE(
-        tx->Insert(cluster->schema().hint_heads, ndb::Row{int64_t{9999}, int64_t{5}})
-            .ok());
-    ASSERT_TRUE(tx->Insert(cluster->schema().hint_acks,
-                           ndb::Row{int64_t{9999}, int64_t{1}, int64_t{4}, int64_t{0}})
-                    .ok());
-    ASSERT_TRUE(tx->Commit().ok());
-  }
-  // Within the grace window the rows survive: the owner could be a freshly
-  // registered publisher whose leader row the leader has not scanned yet.
-  cluster->TickHeartbeats();
-  EXPECT_EQ(CountRows(*cluster, cluster->schema().hint_heads), 1u);
-  // Past it, the leader buries the head row and the acks the orphan wrote.
-  cluster->TickHeartbeats(4);
-  EXPECT_EQ(CountRows(*cluster, cluster->schema().hint_heads), 0u);
-  EXPECT_EQ(CountRows(*cluster, cluster->schema().hint_acks), 0u);
-}
-
-TEST_F(ShardedHintLogTest, PausedPublisherCoalescesQueuedOpsIntoOneRecord) {
-  auto cluster = MakeCluster(2, /*publish_async=*/true, /*global_seq_lock=*/false);
-  Namenode& a = cluster->namenode(0);
-  for (const char* f : {"/co1", "/co2", "/co3"}) {
-    ASSERT_TRUE(a.Create(f, "c").ok());
-    ASSERT_TRUE(a.CompleteFile(f, "c").ok());
-  }
-  a.SetHintPublisherPausedForTesting(true);
-  ASSERT_TRUE(a.Rename("/co1", "/mv1").ok());  // 2 prefixes
-  ASSERT_TRUE(a.Rename("/co2", "/mv2").ok());  // 2 prefixes
-  ASSERT_TRUE(a.Delete("/co3", false).ok());   // 1 prefix
-  EXPECT_EQ(CountRows(*cluster, cluster->schema().hint_invalidations), 0u)
-      << "nothing reaches the log while the publisher is paused";
-  a.SetHintPublisherPausedForTesting(false);
-  cluster->FlushHintPublishes();
-  auto tx = cluster->db().Begin();
-  auto rows = tx->FullTableScan(cluster->schema().hint_invalidations);
-  (void)tx->Commit();
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 1u) << "three queued ops coalesce into ONE append";
-  EXPECT_EQ(DecodeHintPaths((*rows)[0][col::kHintPaths].str()),
-            (std::vector<std::string>{"/co1", "/mv1", "/co2", "/mv2", "/co3"}));
-  EXPECT_EQ((*rows)[0][col::kHintOp].i64(), 0) << "mixed coalesced ops record op 0";
-  EXPECT_EQ(a.hint_publish_events(), 1u);
-  EXPECT_EQ(a.hint_publish_ops_coalesced(), 2u);
-  // The coalesced record still invalidates every prefix on the peer.
-  Namenode& b = cluster->namenode(1);
-  cluster->TickHeartbeats();
-  EXPECT_EQ(b.proactive_invalidations_applied(), 5u);
-}
-
-TEST_F(ShardedHintLogTest, DrainWalksEveryPublisherPartitionByRange) {
-  // Interleaved multi-record ranges from two publishers, drained by a third
-  // in one tick: the per-publisher applied vector must advance across the
-  // re-keyed (nn, seq) ranges without skipping or re-applying.
-  auto cluster = MakeCluster(3, /*publish_async=*/true, /*global_seq_lock=*/false);
-  Namenode& a = cluster->namenode(0);
-  Namenode& b = cluster->namenode(1);
-  Namenode& c = cluster->namenode(2);
-  for (const char* f : {"/ra1", "/ra2", "/rb1"}) {
-    ASSERT_TRUE(a.Create(f, "c").ok());
-    ASSERT_TRUE(a.CompleteFile(f, "c").ok());
-  }
-  // C caches chains so the drain has real hints to kill.
-  for (const char* f : {"/ra1", "/ra2", "/rb1"}) ASSERT_TRUE(c.GetFileInfo(f).ok());
-  // Two separate records from A (flush in between), one from B.
-  ASSERT_TRUE(a.Rename("/ra1", "/ra1m").ok());
-  cluster->FlushHintPublishes();
-  ASSERT_TRUE(a.Rename("/ra2", "/ra2m").ok());
-  cluster->FlushHintPublishes();
-  ASSERT_TRUE(b.Rename("/rb1", "/rb1m").ok());
-  cluster->FlushHintPublishes();
-  EXPECT_EQ(CountRows(*cluster, cluster->schema().hint_invalidations), 3u);
-  const uint64_t before = c.proactive_invalidations_applied();
-  ASSERT_TRUE(c.Heartbeat().ok());  // one drain pass over both partitions
-  EXPECT_EQ(c.proactive_invalidations_applied() - before, 6u)
-      << "2+2 prefixes from A's two records and 2 from B's";
-  for (const char* gone : {"/ra1", "/ra2", "/rb1"}) {
-    auto split = SplitPath(gone);
-    ASSERT_TRUE(split.ok());
-    EXPECT_TRUE(c.hint_cache().PeekChain(*split).hints.empty()) << gone;
-  }
-  // A second drain with nothing new applies nothing (no re-application).
-  ASSERT_TRUE(c.Heartbeat().ok());
-  EXPECT_EQ(c.proactive_invalidations_applied() - before, 6u);
 }
 
 // ---------------------------------------------------------------------------

@@ -168,6 +168,32 @@ TEST_F(OccConflictTest, ValidatedReadFailsWhenTheRowChangesBeforeCommit) {
   EXPECT_TRUE(t3->Commit().ok());
 }
 
+TEST_F(OccConflictTest, SecondOfTwoValidatedReadersConflictsAfterTheFirstCommits) {
+  // Both transactions validate the same key; the first to commit an update
+  // wins, and the second's validation fails. The conflict message is built
+  // from the failed read-set entry, so it must be taken before the abort
+  // clears the read set (an ASan build flags the use-after-free otherwise).
+  const kv::Key key{int64_t{1}, int64_t{2}};
+  auto t1 = engine_->Begin();
+  auto t2 = engine_->Begin();
+  ASSERT_TRUE(t1->Read(table_, key, kv::LockMode::kShared).ok());
+  ASSERT_TRUE(t2->Read(table_, key, kv::LockMode::kShared).ok());
+  ASSERT_TRUE(t1->Update(table_, kv::Row{int64_t{1}, int64_t{2}, int64_t{21}}).ok());
+  ASSERT_TRUE(t2->Update(table_, kv::Row{int64_t{1}, int64_t{2}, int64_t{22}}).ok());
+  ASSERT_TRUE(t1->Commit().ok());
+
+  hops::Status st = t2->Commit();
+  EXPECT_EQ(st.code(), StatusCode::kConflict) << st.ToString();
+  EXPECT_NE(st.ToString().find("entries"), std::string::npos) << st.ToString();
+  EXPECT_FALSE(t2->active());
+
+  auto check = engine_->Begin();
+  auto row = check->Read(table_, key, kv::LockMode::kReadCommitted);
+  ASSERT_TRUE(row.ok());
+  EXPECT_EQ((*row)[2].i64(), 21);
+  check->Abort();
+}
+
 TEST_F(OccConflictTest, InsertGuardMakesConcurrentCreateSameKeyLoseCleanly) {
   // Both transactions probe the same ABSENT key (a create's existence check)
   // and then insert it: the absence observation must guard the slot.
