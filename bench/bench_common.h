@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -137,42 +136,25 @@ inline int SaturatingClients(int num_namenodes) {
 }
 
 // Trace capture under CONCURRENT handler load: runs the closed-loop driver
-// against a namenode with a bounded handler pool (all handler transactions
-// sharing the completion mux when `use_mux`), collecting every committed
-// transaction's database-access trace. Unlike the sequential CollectTraces
-// capture, windows here genuinely merge across transactions, so the traces
-// carry co_scheduled windows whose shared trips the DES model costs as max,
-// not sum. All traces land in one pool (under OpType::kRead) since the mix
-// identity does not matter for the replay cost.
+// against a namenode with a bounded handler pool, each handler flushing its
+// own transaction's windows, and collects every committed transaction's
+// database-access trace -- so lock waits and contention between concurrent
+// handlers shape the captured traces. All traces land in one pool (under
+// OpType::kRead) since the mix identity does not matter for the replay cost.
 struct HandlerLoadCapture {
   wl::TracePools pools;
   double wall_ops_per_sec = 0;
-  uint64_t cross_tx_saved = 0;      // trips merged away across transactions
-  uint64_t mux_windows = 0;
-  uint64_t mux_rounds = 0;
-  uint64_t mux_gather_waits = 0;     // adaptive-gather door-holds
-  uint64_t mux_gathered_windows = 0;  // extra windows those waits merged
-  double co_scheduled_fraction = 0;  // co-scheduled windows / all flush windows
   // Full end-of-run counter snapshot (the engine-ablation sections read the
   // OCC conflict / 2PL lock counters out of this).
   kv::ClusterStats db_stats;
 };
 
-// `adaptive_gather` overrides the mux gather-delay policy for the A/B sweep:
-// nullopt leaves MiniCluster's auto resolution (on at >= 4 handlers) in
-// charge, an explicit value pins it and disables the auto policy.
-inline HandlerLoadCapture CaptureUnderHandlerLoad(
-    int num_handlers, bool use_mux, int clients, int64_t ops_per_client, uint64_t seed,
-    std::optional<bool> adaptive_gather = std::nullopt) {
+inline HandlerLoadCapture CaptureUnderHandlerLoad(int num_handlers, int clients,
+                                                  int64_t ops_per_client, uint64_t seed) {
   HandlerLoadCapture cap;
   hops::fs::MiniClusterOptions options;
   options.db.num_datanodes = 4;
   options.db.replication = 2;
-  options.db.use_completion_mux = use_mux;
-  if (adaptive_gather.has_value()) {
-    options.db.mux_adaptive_gather = *adaptive_gather;
-    options.db.mux_adaptive_gather_auto = false;
-  }
   options.fs.num_handlers = num_handlers;
   options.num_namenodes = 1;
   options.num_datanodes = 3;
@@ -205,25 +187,7 @@ inline HandlerLoadCapture CaptureUnderHandlerLoad(
   cluster->namenode(0).SetTraceSink(nullptr);
 
   cap.wall_ops_per_sec = report.ops_per_second;
-  auto stats = cluster->db().StatsSnapshot();
-  cap.db_stats = stats;
-  cap.cross_tx_saved = stats.cross_tx_overlapped_round_trips;
-  cap.mux_windows = stats.mux_windows;
-  cap.mux_rounds = stats.mux_rounds;
-  cap.mux_gather_waits = stats.mux_gather_waits;
-  cap.mux_gathered_windows = stats.mux_gathered_windows;
-  uint64_t windows = 0, co_scheduled = 0;
-  for (const auto& t : traces) {
-    for (const auto& a : t.accesses) {
-      if (a.round_trips > 0 && a.kind != hops::ndb::AccessKind::kCommit) windows++;
-      if (a.co_scheduled) {
-        windows++;
-        co_scheduled++;
-      }
-    }
-  }
-  cap.co_scheduled_fraction =
-      windows > 0 ? static_cast<double>(co_scheduled) / static_cast<double>(windows) : 0;
+  cap.db_stats = cluster->db().StatsSnapshot();
   cap.pools.num_partitions = cluster->db().num_partitions();
   cap.pools.pools[wl::OpType::kRead] = std::move(traces);
   return cap;

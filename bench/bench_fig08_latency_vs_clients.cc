@@ -40,41 +40,29 @@ int main() {
   std::printf("\nshape to compare with Figure 8: HDFS latency grows steeply with client\n"
               "count (ops queue at the single namenode); HopsFS stays low and flat.\n");
 
-  // --- Handler pool + completion mux ----------------------------------------
+  // --- Handler pool ----------------------------------------------------------
   // Traces captured on the real namenode while an increasing number of
   // closed-loop clients runs behind a fixed 4-handler pool, then replayed on
-  // the simulated cluster. With the mux, more concurrent clients merge more
-  // flush windows across transactions (co_scheduled), so the replayed
-  // operation latency FALLS as concurrency rises; the selectable
-  // per-transaction path stays flat.
+  // the simulated cluster.
   constexpr int kHandlers = 4;
   std::printf("\n# Latency behind %d handlers (traces captured under concurrent load,\n"
               "# replayed on a 5-namenode simulated cluster; Spotify mix)\n", kHandlers);
-  std::printf("%-10s %16s %16s %12s\n", "clients", "mux avg (ms)", "per-tx avg (ms)",
-              "co-sched");
+  std::printf("%-10s %16s\n", "clients", "avg (ms)");
   for (int clients : {2, 4, 8, 16}) {
-    auto mux_cap = hops::bench::CaptureUnderHandlerLoad(kHandlers, /*use_mux=*/true,
-                                                        clients, 2400 / clients, 17);
-    auto per_tx_cap = hops::bench::CaptureUnderHandlerLoad(kHandlers, /*use_mux=*/false,
-                                                           clients, 2400 / clients, 17);
-    auto simulate = [&](const wl::TracePools& pools) {
-      wl::OpMix replay = wl::OpMix::Single(wl::OpType::kRead);
-      sim::WorkloadSpec spec;
-      spec.mix = &replay;
-      spec.traces = &pools;
-      // Below namenode-CPU saturation: queueing would otherwise flatten the
-      // RTT saving out of the latency signal.
-      spec.num_clients = 120;
-      spec.duration_s = 0.1;
-      spec.warmup_s = 0.03;
-      return sim::SimulateHopsFs(sim::HopsTopology{5, 12}, spec, cal).latency_us.Mean() /
-             1000.0;
-    };
-    std::printf("%-10d %16.2f %16.2f %11.1f%%\n", clients, simulate(mux_cap.pools),
-                simulate(per_tx_cap.pools), 100.0 * mux_cap.co_scheduled_fraction);
+    auto cap = hops::bench::CaptureUnderHandlerLoad(kHandlers, clients, 2400 / clients, 17);
+    wl::OpMix replay = wl::OpMix::Single(wl::OpType::kRead);
+    sim::WorkloadSpec spec;
+    spec.mix = &replay;
+    spec.traces = &cap.pools;
+    // Below namenode-CPU saturation: queueing would otherwise flatten the
+    // RTT signal out of the latency.
+    spec.num_clients = 120;
+    spec.duration_s = 0.1;
+    spec.warmup_s = 0.03;
+    std::printf("%-10d %16.2f\n", clients,
+                sim::SimulateHopsFs(sim::HopsTopology{5, 12}, spec, cal).latency_us.Mean() /
+                    1000.0);
     std::fflush(stdout);
   }
-  std::printf("\nshape: with the mux, operation latency falls as client concurrency rises\n"
-              "(merged windows share trips); the per-transaction baseline stays flat.\n");
   return 0;
 }

@@ -19,7 +19,7 @@ using Clock = std::chrono::steady_clock;
 // absent -- an acked-but-unapplied path read through another namenode is
 // async-commit visibility lag, not unavailability, and the workload retries
 // it without recording a failure. kTxAborted / kLockTimeout are also absent:
-// transaction backpressure (a stat S-lock waiting out the mux deadline
+// transaction backpressure (a stat S-lock waiting out the lock-wait deadline
 // behind an in-flight apply's X-lock, injected transient aborts) happens
 // under plain contention with no fault applied, so counting it would make
 // oracle 3 flake on a loaded machine; real clients retry those codes.

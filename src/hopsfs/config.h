@@ -42,10 +42,9 @@ struct FsConfig {
 
   // Handler threads per namenode (paper §7.1's many-handlers model). Client
   // requests are enqueued and each handler runs one operation's transaction
-  // at a time; all handlers of all namenodes share the database's
-  // cross-transaction completion mux, so their flush windows merge into
-  // overlapped round trips. 0 = no pool: operations run inline on the
-  // calling thread (the pre-handler-pool behavior).
+  // at a time, flushing that transaction's windows on its own thread.
+  // 0 = no pool: operations run inline on the calling thread (the
+  // pre-handler-pool behavior).
   int num_handlers = 0;
 
   // Heartbeats a namenode may miss before peers consider it dead.
@@ -63,21 +62,20 @@ struct FsConfig {
   // mkdirs and file setattr acknowledge once the op is validated, ordered
   // and DURABLE in the per-namenode op_intents log; the real metadata
   // transaction runs later on the namenode's applier thread through the
-  // normal RunTx/mux machinery. Reads and conflicting mutations on a path
+  // normal RunTx machinery. Reads and conflicting mutations on a path
   // with unapplied intents block until the covering intent applies
   // (read-your-writes per namenode; clients are sticky). Off = every op
   // commits its full transaction before replying (the paper's behavior and
   // the ablation baseline).
   bool async_metadata_commit = false;
   // Max adjacent intents the applier drains as one concurrent window
-  // (intents whose paths are prefix-disjoint apply in parallel and their
-  // transactions merge in the completion mux; same-path intents always
-  // apply in acknowledgment order).
+  // (intents whose paths are prefix-disjoint apply in parallel; same-path
+  // intents always apply in acknowledgment order).
   int intent_apply_batch = 8;
-  // Upper bound a blocked reader waits for a covering intent to apply
-  // before proceeding against the committed state (a wedged applier must
-  // not hang every read forever; proceeding early is at worst a stale
-  // read, never a wrong namespace).
+  // Upper bound a blocked op waits for a covering intent to apply. Past it
+  // the op fails with a retryable kUnavailable instead of running against
+  // committed state that does not yet hold the acknowledged write (a wedged
+  // applier must not hang every read forever, nor serve it stale).
   std::chrono::milliseconds intent_wait_timeout{30000};
 };
 

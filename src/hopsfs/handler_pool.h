@@ -2,8 +2,8 @@
 // fronting the namenode's transactional operations. Client calls enqueue a
 // request and block until a handler has executed it; each handler owns the
 // transaction(s) of the request it is running, so with N handlers a
-// namenode drives up to N concurrent transactions -- whose flush windows
-// the NDB layer's completion mux merges into shared overlapped round trips.
+// namenode drives up to N concurrent transactions, each flushing its own
+// windows on its handler's thread.
 // The pool bounds namenode-side concurrency the way HDFS/HopsFS handler
 // counts do, while any number of client threads may be enqueued behind it.
 #pragma once

@@ -24,8 +24,8 @@ bool PrefixRelated(const std::string& a, const std::string& b) {
 }
 
 // "/a/b/c" -> "/a/b". Mutations X-lock the parent inode, so two in-flight
-// applies under one parent would only defer-and-retry each other in the
-// mux's lock pass -- pure overhead on the shared completion thread.
+// applies under one parent would only serialize on that lock, parking one
+// claimer thread behind the other.
 std::string_view ParentOf(const std::string& path) {
   const size_t pos = path.rfind('/');
   if (pos == std::string::npos || pos == 0) return std::string_view("/");
@@ -207,14 +207,18 @@ bool IntentLog::CoveredLocked(const std::string& path) const {
   return it != pending_.end() && it->first.compare(0, below.size(), below) == 0;
 }
 
-void IntentLog::WaitCovering(const std::string& path) const {
-  if (t_on_applier) return;
-  if (pending_count_.load(std::memory_order_acquire) == 0) return;
+hops::Status IntentLog::WaitCovering(const std::string& path) const {
+  if (t_on_applier) return hops::Status::Ok();
+  if (pending_count_.load(std::memory_order_acquire) == 0) return hops::Status::Ok();
   std::unique_lock<std::mutex> lock(mu_);
-  if (stop_ || abandoned_ || !CoveredLocked(path)) return;
+  if (stop_ || abandoned_ || !CoveredLocked(path)) return hops::Status::Ok();
   covering_waits_.fetch_add(1, std::memory_order_relaxed);
-  cv_.wait_for(lock, config_->intent_wait_timeout,
-               [&] { return stop_ || abandoned_ || !CoveredLocked(path); });
+  if (!cv_.wait_for(lock, config_->intent_wait_timeout,
+                    [&] { return stop_ || abandoned_ || !CoveredLocked(path); })) {
+    return hops::Status::Unavailable("timed out waiting for an acknowledged intent covering " +
+                                     path + " to apply");
+  }
+  return hops::Status::Ok();
 }
 
 void IntentLog::Flush() {
@@ -344,11 +348,6 @@ hops::Status IntentLog::AppendBatchTx(std::vector<std::shared_ptr<AppendWaiter>>
   for (int attempt = 0; attempt < 8; ++attempt) {
     auto tx = db_->Begin(kv::TxHint{schema_->intent_heads, static_cast<uint64_t>(self_)});
     if (sink) tx->EnableTrace();
-    // The append IS the acknowledgment: flush solo rather than queue in the
-    // completion mux behind apply/handler throughput work. Its only lock is
-    // our own head row, which nothing outside this (appending_-serialized)
-    // path X-locks while the namenode is alive.
-    tx->SetLatencySensitive(true);
     // Allocate the seq range under the X lock on OUR OWN head row (a failed
     // locked read still locks the key slot, guarding the first insert):
     // per-namenode sequence order equals commit order by construction, and
@@ -570,11 +569,6 @@ bool IntentLog::DeleteIntentRows(const std::vector<IntentRecord>& recs) {
       tx->EnableTrace();
       tx->SetBackground(true);
     }
-    // Applied rows are touched by nobody but us (an adopter only sweeps dead
-    // namenodes), so run the delete solo on this thread rather than taxing
-    // the shared completion loop with it -- the mux's cycles belong to the
-    // apply transactions racing the drain.
-    tx->SetLatencySensitive(true);
     hops::Status st;
     for (const auto& rec : recs) {
       st = tx->Delete(schema_->op_intents, {rec.nn, rec.seq});

@@ -176,8 +176,11 @@ class IntentLog {
 
   // Blocks (bounded by FsConfig::intent_wait_timeout) while any pending
   // path covers `path`: equals it, is a prefix of it, or has it as a
-  // prefix. No-op on the applier thread and after Abandon/Stop.
-  void WaitCovering(const std::string& path) const;
+  // prefix. Returns kUnavailable when the bound expires with the path still
+  // covered: the caller must not run against committed state that lacks an
+  // acknowledged write, and may retry once the applier catches up. Ok at
+  // once on the applier thread and after Abandon/Stop.
+  hops::Status WaitCovering(const std::string& path) const;
 
   // Blocks until the log is drained: nothing reserved, queued or applying.
   // Returns immediately after Abandon/Stop.

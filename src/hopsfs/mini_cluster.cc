@@ -8,8 +8,8 @@ namespace {
 
 // Fail-fast validation of the combined engine + filesystem knob set. Every
 // rejected combination here either crashed an assert deep in the engine or
-// silently misbehaved (a mux gather delay with no mux, a zero-wide pipeline
-// window); surfacing them at construction names the knob instead.
+// silently misbehaved (a zero-wide pipeline window); surfacing them at
+// construction names the knob instead.
 hops::Status ValidateOptions(const MiniClusterOptions& o) {
   if (o.db.num_datanodes == 0) {
     return hops::Status::InvalidArgument("db.num_datanodes must be > 0");
@@ -25,11 +25,6 @@ hops::Status ValidateOptions(const MiniClusterOptions& o) {
   if (o.db.max_in_flight_batches == 0) {
     return hops::Status::InvalidArgument(
         "db.max_in_flight_batches must be > 0 (a zero-wide pipeline window can never flush)");
-  }
-  if (o.db.mux_adaptive_gather && !o.db.mux_adaptive_gather_auto && !o.db.use_completion_mux) {
-    return hops::Status::InvalidArgument(
-        "db.mux_adaptive_gather requires db.use_completion_mux (the gather delay is a "
-        "completion-mux policy)");
   }
   if (o.num_namenodes <= 0) {
     return hops::Status::InvalidArgument("num_namenodes must be > 0");
@@ -84,15 +79,6 @@ hops::Result<std::unique_ptr<MiniCluster>> MiniCluster::Start(MiniClusterOptions
     options.fs.kv_engine = *kind;
   }
   HOPS_RETURN_IF_ERROR(ValidateOptions(options));
-  if (options.db.mux_adaptive_gather_auto) {
-    // Default-on policy for the mux gather delay: with >= 4 handlers per
-    // namenode there is nearly always a trailing window microseconds away
-    // worth waiting for; below that the delay buys nothing and costs idle
-    // wakeups (bench_fig07's gather sweep is the justification). The OCC
-    // engine has no mux, so the policy resolves to off there.
-    options.db.mux_adaptive_gather =
-        options.fs.kv_engine == kv::EngineKind::kNdb && options.fs.num_handlers >= 4;
-  }
   auto db = kv::MakeEngine(options.fs.kv_engine, options.db);
   HOPS_ASSIGN_OR_RETURN(schema, MetadataSchema::Format(*db));
   std::unique_ptr<MiniCluster> cluster(

@@ -57,9 +57,6 @@ struct ClusterIntentStats {
 class MiniCluster {
  public:
   // Builds the database, formats the schema, and starts the namenodes.
-  // Resolves ClusterConfig::mux_adaptive_gather_auto here: the gather delay
-  // goes on once the handler pool is wide enough (>= 4 handlers per
-  // namenode) that trailing windows are usually in flight to merge with.
   static hops::Result<std::unique_ptr<MiniCluster>> Start(MiniClusterOptions options);
 
   kv::Engine& db() { return *db_; }

@@ -198,11 +198,8 @@ hops::Status Namenode::RunTx(std::optional<kv::TxHint> hint,
   int64_t conflict_deadline_us = 0;  // set by the first OCC conflict
   for (int attempt = 0;;) {
     hops::Status st =
-        dispatch
-            ? handlers_->Run([&] { return RunTxAttempt(hint, body, want_trace, background,
-                                                       /*latency_sensitive=*/false); })
-            : RunTxAttempt(hint, body, want_trace, background,
-                           /*latency_sensitive=*/inline_read);
+        dispatch ? handlers_->Run([&] { return RunTxAttempt(hint, body, want_trace, background); })
+                 : RunTxAttempt(hint, body, want_trace, background);
     if (st.ok()) return st;
     if (st.code() == hops::StatusCode::kSubtreeLocked) {
       // An active subtree operation owns part of the path: voluntarily back
@@ -243,15 +240,13 @@ hops::Status Namenode::RunTx(std::optional<kv::TxHint> hint,
   return hops::Status::TxAborted("operation exhausted its transaction retries");
 }
 
-hops::Status Namenode::RunTxAttempt(
-    std::optional<kv::TxHint> hint,
-    const std::function<hops::Status(kv::Txn&)>& body, bool want_trace,
-    bool background, bool latency_sensitive) {
+hops::Status Namenode::RunTxAttempt(std::optional<kv::TxHint> hint,
+                                    const std::function<hops::Status(kv::Txn&)>& body,
+                                    bool want_trace, bool background) {
   HOPS_RETURN_IF_ERROR(CheckAlive());
   auto tx = db_->Begin(hint);
   if (want_trace) tx->EnableTrace();
   if (background) tx->SetBackground(true);
-  if (latency_sensitive) tx->SetLatencySensitive(true);
   hops::Status st = body(*tx);
   if (st.ok()) {
     st = tx->Commit();
@@ -790,8 +785,24 @@ hops::Status Namenode::Create(const std::string& path, const std::string& client
   HOPS_RETURN_IF_ERROR(CheckAlive());
   HOPS_ASSIGN_OR_RETURN(components, SplitPath(path));
   if (components.empty()) return hops::Status::IsDirectory("/");
-  if (UseAsyncCommit()) return CreateAsync(components, client_name, user);
-  return CreateSync(components, client_name, user);
+  if (!UseAsyncCommit()) return CreateSync(components, client_name, user);
+  // Read-your-writes across namenodes: the parent may be a mkdirs a PEER
+  // acknowledged but has not applied, which this namenode's pending index
+  // cannot see. Re-validate while such an intent is in the log, bounded
+  // like WaitCovering.
+  const std::string parent =
+      JoinPath(std::vector<std::string>(components.begin(), components.end() - 1));
+  const auto deadline = std::chrono::steady_clock::now() + config_->intent_wait_timeout;
+  hops::Status st = CreateAsync(components, client_name, user);
+  while (st.code() == hops::StatusCode::kNotFound && PeerMkdirsPending(parent)) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return hops::Status::Unavailable("timed out waiting for a peer's mkdirs intent covering " +
+                                       parent + " to apply");
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    st = CreateAsync(components, client_name, user);
+  }
+  return st;
 }
 
 hops::Status Namenode::CreateSync(const std::vector<std::string>& components,
@@ -1113,6 +1124,20 @@ hops::Status Namenode::ApplyIntent(const IntentRecord& rec) {
   return hops::Status::InvalidArgument("unknown intent op");
 }
 
+bool Namenode::PeerMkdirsPending(const std::string& dir) {
+  const NamenodeId self = id_safe();
+  kv::ScanOptions opts;
+  opts.predicate = [&](const kv::Row& row) {
+    IntentRecord rec = IntentFromRow(row);
+    return rec.nn != self && rec.op == IntentOp::kMkdirs &&
+           (IsPrefixPath(rec.path, dir) || IsPrefixPath(dir, rec.path));
+  };
+  auto tx = db_->Begin(kv::TxHint{schema_->op_intents, static_cast<uint64_t>(self)});
+  auto scan = tx->FullTableScan(schema_->op_intents, opts);
+  if (tx->active()) tx->Abort();
+  return scan.ok() && !scan->empty();
+}
+
 void Namenode::AdoptOrphanedIntents(bool include_self) {
   if (intents_ == nullptr || !alive_) return;
   std::vector<kv::Row> rows;
@@ -1189,7 +1214,7 @@ hops::Result<LocatedBlock> Namenode::AddBlock(const std::string& path,
   if (components.empty()) return hops::Status::IsDirectory("/");
   // The file may exist only as an acknowledged intent; block until it is
   // applied (read-your-writes for a create-then-write client).
-  WaitForPendingIntents(JoinPath(components));
+  HOPS_RETURN_IF_ERROR(WaitForPendingIntents(JoinPath(components)));
   LocatedBlock result;
   uint64_t hint_pv = InodePv(static_cast<int>(components.size()), 0, components.back());
   hops::Status st = RunTx(
@@ -1295,7 +1320,7 @@ hops::Status Namenode::CompleteFile(const std::string& path, const std::string& 
   HOPS_RETURN_IF_ERROR(CheckAlive());
   HOPS_ASSIGN_OR_RETURN(components, SplitPath(path));
   if (components.empty()) return hops::Status::IsDirectory("/");
-  WaitForPendingIntents(JoinPath(components));
+  HOPS_RETURN_IF_ERROR(WaitForPendingIntents(JoinPath(components)));
   uint64_t hint_pv = InodePv(static_cast<int>(components.size()), 0, components.back());
   return RunTx(
       kv::TxHint{schema_->inodes, hint_pv}, [&](kv::Txn& tx) -> hops::Status {
@@ -1354,7 +1379,7 @@ hops::Status Namenode::Append(const std::string& path, const std::string& client
   HOPS_RETURN_IF_ERROR(CheckAlive());
   HOPS_ASSIGN_OR_RETURN(components, SplitPath(path));
   if (components.empty()) return hops::Status::IsDirectory("/");
-  WaitForPendingIntents(JoinPath(components));
+  HOPS_RETURN_IF_ERROR(WaitForPendingIntents(JoinPath(components)));
   uint64_t hint_pv = InodePv(static_cast<int>(components.size()), 0, components.back());
   return RunTx(kv::TxHint{schema_->inodes, hint_pv},
                [&](kv::Txn& tx) -> hops::Status {
@@ -1380,7 +1405,7 @@ hops::Result<std::vector<LocatedBlock>> Namenode::GetBlockLocations(
   HOPS_RETURN_IF_ERROR(CheckAlive());
   HOPS_ASSIGN_OR_RETURN(components, SplitPath(path));
   if (components.empty()) return hops::Status::IsDirectory("/");
-  WaitForPendingIntents(JoinPath(components));
+  HOPS_RETURN_IF_ERROR(WaitForPendingIntents(JoinPath(components)));
   std::vector<LocatedBlock> blocks;
   uint64_t hint_pv = InodePv(static_cast<int>(components.size()), 0, components.back());
   hops::Status st = RunTx(
@@ -1442,7 +1467,7 @@ hops::Result<FileStatus> Namenode::GetFileInfo(const std::string& path,
   HOPS_RETURN_IF_ERROR(CheckAlive());
   HOPS_ASSIGN_OR_RETURN(components, SplitPath(path));
   if (components.empty()) return StatusFromInode(root_, "/");
-  WaitForPendingIntents(JoinPath(components));
+  HOPS_RETURN_IF_ERROR(WaitForPendingIntents(JoinPath(components)));
   FileStatus status;
   uint64_t hint_pv = InodePv(static_cast<int>(components.size()), 0, components.back());
   hops::Status st =
@@ -1482,7 +1507,7 @@ hops::Result<std::vector<FileStatus>> Namenode::ListStatus(const std::string& pa
   HOPS_ASSIGN_OR_RETURN(components, SplitPath(path));
   // A listing must include acknowledged children; "/" is covered by ANY
   // pending intent, so a root listing waits for a full drain.
-  WaitForPendingIntents(JoinPath(components));
+  HOPS_RETURN_IF_ERROR(WaitForPendingIntents(JoinPath(components)));
   std::vector<FileStatus> listing;
   uint64_t hint_pv = components.empty()
                          ? RootPartitionValue()
@@ -1660,7 +1685,7 @@ hops::Status Namenode::SetReplication(const std::string& path, int64_t replicati
   if (replication < 1) return hops::Status::InvalidArgument("replication must be >= 1");
   HOPS_ASSIGN_OR_RETURN(components, SplitPath(path));
   if (components.empty()) return hops::Status::IsDirectory("/");
-  WaitForPendingIntents(JoinPath(components));
+  HOPS_RETURN_IF_ERROR(WaitForPendingIntents(JoinPath(components)));
   uint64_t hint_pv = InodePv(static_cast<int>(components.size()), 0, components.back());
   return RunTx(
       kv::TxHint{schema_->inodes, hint_pv}, [&](kv::Txn& tx) -> hops::Status {
@@ -1777,8 +1802,8 @@ hops::Status Namenode::Rename(const std::string& src, const std::string& dst,
   }
   // Rename stays a synchronous transaction; it must observe every
   // acknowledged op on both endpoints first.
-  WaitForPendingIntents(JoinPath(src_parts));
-  WaitForPendingIntents(JoinPath(dst_parts));
+  HOPS_RETURN_IF_ERROR(WaitForPendingIntents(JoinPath(src_parts)));
+  HOPS_RETURN_IF_ERROR(WaitForPendingIntents(JoinPath(dst_parts)));
   hops::Status st = RenameInTx(src_parts, dst_parts, user);
   if (st.code() == hops::StatusCode::kNotEmpty) {
     // Non-empty directory: go through the subtree operations protocol (§6).
@@ -1991,7 +2016,7 @@ hops::Status Namenode::Delete(const std::string& path, bool recursive,
   // Deletes are synchronous and must not race an unapplied intent on or
   // under this path (deleting a dir whose acknowledged child has not
   // materialized would lose the child).
-  WaitForPendingIntents(JoinPath(components));
+  HOPS_RETURN_IF_ERROR(WaitForPendingIntents(JoinPath(components)));
   uint64_t hint_pv = InodePv(static_cast<int>(components.size()), 0, components.back());
   hops::Status st = RunTx(
       kv::TxHint{schema_->inodes, hint_pv}, [&](kv::Txn& tx) -> hops::Status {

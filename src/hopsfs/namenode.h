@@ -242,7 +242,7 @@ class Namenode {
   // `inline_read` keeps the transaction on the calling thread even when a
   // handler pool exists: right for lock-free read-committed validation
   // transactions, whose cross-thread dispatch would cost more wall time
-  // than their reads (they gain nothing from the completion mux).
+  // than their reads.
   hops::Status RunTx(std::optional<kv::TxHint> hint,
                      const std::function<hops::Status(kv::Txn&)>& body,
                      bool inline_read = false);
@@ -250,12 +250,9 @@ class Namenode {
   // `background` marks the transaction's cost-trace accesses as intent-apply
   // work (captured at RunTx entry, before the attempt hops onto a handler
   // thread where the applier's thread-local marker is invisible).
-  // `latency_sensitive` flushes solo instead of through the completion mux
-  // (the inline validation reads: queueing behind throughput work would
-  // dominate their cost).
   hops::Status RunTxAttempt(std::optional<kv::TxHint> hint,
                             const std::function<hops::Status(kv::Txn&)>& body,
-                            bool want_trace, bool background, bool latency_sensitive);
+                            bool want_trace, bool background);
 
   // Figure 4 lines 1-6: resolve the path (hint cache + batched read, with
   // recursive fallback), then lock the last component(s) in total order.
@@ -333,9 +330,10 @@ class Namenode {
     return intents_ != nullptr && !IntentLog::OnApplierThread();
   }
   // Read-your-writes barrier: blocks while an acknowledged-but-unapplied
-  // intent covers `path` (equals it, is an ancestor, or lies below it).
-  void WaitForPendingIntents(const std::string& path) const {
-    if (intents_) intents_->WaitCovering(path);
+  // intent covers `path` (equals it, is an ancestor, or lies below it);
+  // kUnavailable if it is still covered after FsConfig::intent_wait_timeout.
+  hops::Status WaitForPendingIntents(const std::string& path) const {
+    return intents_ ? intents_->WaitCovering(path) : hops::Status::Ok();
   }
   // The synchronous op bodies (the pre-async behavior, and what the applier
   // executes); public wrappers dispatch here when async commits are off.
@@ -370,6 +368,11 @@ class Namenode {
   // `include_self` replays this namenode's own partition too -- the
   // resumed-identity start path, before any client can reach us.
   void AdoptOrphanedIntents(bool include_self = false);
+  // True when a peer namenode's op_intents log holds a mkdirs intent that
+  // may create `dir` (its path is an ancestor-or-self of `dir`, or lies
+  // below it). The row may already be applied and awaiting cleanup, so this
+  // only says whether a NotFound under `dir` is worth re-validating.
+  bool PeerMkdirsPending(const std::string& dir);
 
   // Stages one pruned scan per entry of `tables` (slot i = tables[i]) keyed
   // by the hint-cache candidate for `components` and puts them in flight.

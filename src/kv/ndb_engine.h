@@ -1,7 +1,7 @@
 // kv::Engine backend #1: the NDB-style pessimistic 2PL cluster (src/ndb),
 // wrapped behind the engine boundary. Thin forwarding shims -- every
 // semantic (eager row locks, lock-wait-timeout deadlock resolution,
-// completion-mux window merging, cost accounting) lives in ndb::Cluster /
+// pipelined window flushing, cost accounting) lives in ndb::Cluster /
 // ndb::Transaction; this layer only adapts the async-batch handle plumbing.
 #pragma once
 
@@ -67,7 +67,6 @@ class NdbTxn final : public Txn {
   void EnableTrace() override { tx_->EnableTrace(); }
   const CostTrace& trace() const override { return tx_->trace(); }
   void SetBackground(bool background) override { tx_->SetBackground(background); }
-  void SetLatencySensitive(bool v) override { tx_->SetLatencySensitive(v); }
 
  private:
   uint64_t PrepareAsync(ReadBatch* read, WriteBatch* write) override {
@@ -97,9 +96,6 @@ class NdbEngine final : public Engine {
   explicit NdbEngine(EngineConfig config) : cluster_(config) {}
 
   EngineKind kind() const override { return EngineKind::kNdb; }
-  // The wrapped cluster, for ndb-specific tests (completion-mux internals).
-  ndb::Cluster& cluster() { return cluster_; }
-
   hops::Result<TableId> CreateTable(Schema schema) override {
     return cluster_.CreateTable(std::move(schema));
   }

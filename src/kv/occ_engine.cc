@@ -936,7 +936,7 @@ ClusterStats OccEngine::StatsSnapshot() const {
   s.occ_conflicts = stats_.occ_conflicts.load(std::memory_order_relaxed);
   s.occ_key_conflicts = stats_.occ_key_conflicts.load(std::memory_order_relaxed);
   s.occ_range_conflicts = stats_.occ_range_conflicts.load(std::memory_order_relaxed);
-  // No locks, no mux: lock_timeouts/lock_waits and the mux_* counters stay 0.
+  // No locks: lock_timeouts/lock_waits stay 0.
   return s;
 }
 

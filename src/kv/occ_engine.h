@@ -91,7 +91,6 @@ class OccTxn final : public Txn {
   void EnableTrace() override { trace_enabled_ = true; }
   const CostTrace& trace() const override { return trace_; }
   void SetBackground(bool background) override { background_ = background; }
-  void SetLatencySensitive(bool v) override { latency_sensitive_ = v; }
 
  private:
   friend class OccEngine;
@@ -174,7 +173,6 @@ class OccTxn final : public Txn {
 
   bool trace_enabled_ = false;
   bool background_ = false;
-  bool latency_sensitive_ = false;
   CostTrace trace_;
 };
 

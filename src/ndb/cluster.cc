@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "ndb/mux.h"
 #include "util/hash.h"
 
 namespace hops::ndb {
@@ -17,11 +16,7 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   num_groups_ = config_.num_datanodes / config_.replication;
   node_alive_ = std::vector<std::atomic<bool>>(config_.num_datanodes);
   for (auto& a : node_alive_) a.store(true, std::memory_order_relaxed);
-  if (config_.use_completion_mux) mux_ = std::make_unique<CompletionMux>(this);
 }
-
-// Stops the completion loop before the tables it flushes against go away.
-Cluster::~Cluster() { mux_.reset(); }
 
 hops::Result<TableId> Cluster::CreateTable(Schema schema) {
   std::string error;
@@ -90,9 +85,7 @@ std::unique_ptr<Transaction> Cluster::Begin(std::optional<TxHint> hint) {
     }
   }
   TxId id = next_tx_id_.fetch_add(1, std::memory_order_relaxed);
-  auto tx = std::unique_ptr<Transaction>(new Transaction(this, id, coordinator));
-  tx->mux_ = mux_.get();  // null when per-transaction flushing is configured
-  return tx;
+  return std::unique_ptr<Transaction>(new Transaction(this, id, coordinator));
 }
 
 void Cluster::KillDatanode(uint32_t node) {
@@ -184,12 +177,6 @@ ClusterStats Cluster::StatsSnapshot() const {
   s.lock_waits = stats_.lock_waits.load(std::memory_order_relaxed);
   s.round_trips = stats_.round_trips.load(std::memory_order_relaxed);
   s.overlapped_round_trips = stats_.overlapped_round_trips.load(std::memory_order_relaxed);
-  s.cross_tx_overlapped_round_trips =
-      stats_.cross_tx_overlapped_round_trips.load(std::memory_order_relaxed);
-  s.mux_rounds = stats_.mux_rounds.load(std::memory_order_relaxed);
-  s.mux_windows = stats_.mux_windows.load(std::memory_order_relaxed);
-  s.mux_gather_waits = stats_.mux_gather_waits.load(std::memory_order_relaxed);
-  s.mux_gathered_windows = stats_.mux_gathered_windows.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -208,11 +195,6 @@ void Cluster::ResetStats() {
   stats_.lock_waits = 0;
   stats_.round_trips = 0;
   stats_.overlapped_round_trips = 0;
-  stats_.cross_tx_overlapped_round_trips = 0;
-  stats_.mux_rounds = 0;
-  stats_.mux_windows = 0;
-  stats_.mux_gather_waits = 0;
-  stats_.mux_gathered_windows = 0;
 }
 
 size_t Cluster::TableRowCount(TableId id) const {

@@ -45,33 +45,10 @@ struct ClusterConfig {
   // executeAsynchPrepare window). Preparing one more forces a flush of the
   // whole window, so a transaction never exceeds this many in flight.
   uint32_t max_in_flight_batches = 8;
-  // Cross-transaction completion mux (the shared sendPollNdb reactor): one
-  // completion loop per cluster onto which every transaction's in-flight
-  // windows are registered, so windows from N concurrent handler
-  // transactions flush as one overlapped round trip instead of N. false =
-  // every transaction flushes its own windows (the per-transaction path,
-  // kept selectable for comparison benches).
-  bool use_completion_mux = true;
-  // How often the mux loop retries windows deferred on a row-lock conflict
-  // (the conflict holder's handler is free to commit meanwhile; retries are
-  // bounded by lock_wait_timeout).
-  std::chrono::microseconds mux_retry_interval{100};
-  // Adaptive gather delay: when the previous mux round merged windows from
-  // more than one transaction, the loop waits up to mux_gather_delay for
-  // further submissions before flushing the next round -- under load the
-  // next window is usually microseconds away, and gathering it merges one
-  // more trip into the shared flush. Rounds after a no-merge round flush
-  // eagerly, so an idle or single-handler cluster never pays the delay.
-  bool mux_adaptive_gather = false;
-  // When true (the default), mux_adaptive_gather above is a placeholder the
-  // embedding layer may resolve from its own concurrency knowledge --
-  // fs::MiniCluster turns the gather delay on once the namenode handler pool
-  // is wide enough that trailing windows are usually microseconds away (see
-  // bench_fig07's sweep). Code that sets mux_adaptive_gather explicitly
-  // should clear this so the policy leaves the choice alone. The raw mux
-  // loop only ever reads mux_adaptive_gather.
-  bool mux_adaptive_gather_auto = true;
-  std::chrono::microseconds mux_gather_delay{4};
+  // Always false; kept only because hopsbench's config echo reads it.
+  static constexpr bool use_completion_mux = false;
+  // Always false; kept only because hopsbench's config echo reads it.
+  static constexpr bool mux_adaptive_gather = false;
 };
 
 // Distribution-aware transaction hint: start the coordinator on the primary
@@ -82,7 +59,6 @@ struct TxHint {
 };
 
 class Cluster;
-class CompletionMux;
 class Transaction;
 
 // Future-like handle to a batch submitted through Transaction::ExecuteAsync
@@ -200,17 +176,8 @@ class Transaction {
   // client, so the DES model stops the op's latency clock at the first
   // background access while the drain still occupies database stations.
   void SetBackground(bool background) { background_ = background; }
-  // Keeps this transaction's flush windows on the calling thread instead of
-  // the shared completion loop: no merging with other transactions' round
-  // trips, but also no queueing behind them. For latency-critical
-  // control-path transactions (e.g. the intent log's acknowledged append)
-  // whose wait in the mux line would dwarf their own work. Lock waits then
-  // block the calling thread, exactly like a mux-less cluster.
-  void SetLatencySensitive(bool v) { latency_sensitive_ = v; }
-
  private:
   friend class Cluster;
-  friend class CompletionMux;
   friend class PendingBatch;
   enum class State { kActive, kCommitted, kAborted };
 
@@ -269,31 +236,12 @@ class Transaction {
   // carrying trip) and bumps the per-batch cluster counters.
   hops::Status RunReadBatchData(ReadBatch& batch, std::vector<Access>& accesses);
   hops::Status RunWriteBatchData(WriteBatch& batch, std::vector<Access>& accesses);
-  // True when the current window may flush through the shared completion
-  // mux: no staged-order member (external lock order must not mix with the
-  // mux's global-order pass) and no locking scan (whose row set -- and so
-  // its lock waits -- only appears during execution, which would block the
-  // shared loop).
-  bool WindowMuxEligible() const;
-  // Non-blocking row-lock acquisition for the mux's combined lock pass.
-  // Returns false (without waiting) when the lock is contended; on success
-  // `fresh` reports whether the transaction held nothing on that row before
-  // and `upgraded` that a held shared lock was stepped up to exclusive --
-  // so a deferring mux round knows exactly which locks to hand back or
-  // step back down.
-  bool TryAcquireRowLock(TableId table, uint32_t partition, const std::string& ekey,
-                         LockMode mode, bool* fresh, bool* upgraded);
-  // Releases one row lock (deferred-window rollback; no staged-write check).
-  void DropRowLock(TableId table, uint32_t partition, const std::string& ekey);
-  // Steps an exclusive lock back down to the shared mode held before an
-  // upgrade (deferred-window rollback; atomic, no steal window).
-  void DowngradeRowLock(TableId table, uint32_t partition, const std::string& ekey);
-  // Phase-3 data work for a whole routed + locked window, shared by the
-  // local flush and the mux: runs each member in preparation order, stores
-  // outcomes in batch_results_, poisons pipeline_error_ on the first
-  // failure (members behind it report kTxAborted), counts the
-  // sync-equivalent trips of the members that ran, and appends the window's
-  // accesses. Returns the first member failure, if any.
+  // Phase-3 data work for a whole routed + locked window: runs each member
+  // in preparation order, stores outcomes in batch_results_, poisons
+  // pipeline_error_ on the first failure (members behind it report
+  // kTxAborted), counts the sync-equivalent trips of the members that ran,
+  // and appends the window's accesses. Returns the first member failure, if
+  // any.
   hops::Status RunWindowData(std::vector<InFlightBatch>& flight, const std::vector<bool>& pays,
                              std::vector<Access>& accesses, size_t* sync_equiv,
                              size_t* read_members);
@@ -313,10 +261,6 @@ class Transaction {
   Cluster* cluster_;
   const TxId id_;
   const uint32_t coordinator_;
-  // Shared completion loop this transaction's windows flush through
-  // (attached at Begin when the cluster runs one; null = per-transaction
-  // flushing).
-  CompletionMux* mux_ = nullptr;
   State state_ = State::kActive;
   // (table, partition, encoded key) -> strongest mode held. The map form
   // dedupes repeated acquisitions and tracks shared->exclusive upgrades.
@@ -336,21 +280,15 @@ class Transaction {
   uint64_t next_batch_seq_ = 1;
   bool trace_enabled_ = false;
   bool background_ = false;
-  bool latency_sensitive_ = false;  // flush solo, never through the mux
   CostTrace trace_;
 };
 
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config);
-  ~Cluster();
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
-
-  // The shared cross-transaction completion loop; null when the cluster was
-  // configured with use_completion_mux = false (per-transaction flushing).
-  CompletionMux* mux() const { return mux_.get(); }
 
   hops::Result<TableId> CreateTable(Schema schema);
   const Schema& schema(TableId table) const;
@@ -401,7 +339,6 @@ class Cluster {
 
  private:
   friend class Transaction;
-  friend class CompletionMux;
   static constexpr uint64_t kGlobalCheckpointCommits = 256;
 
   struct Table {
@@ -422,7 +359,6 @@ class Cluster {
 
   ClusterConfig config_;
   FaultInjector fault_injector_;
-  std::unique_ptr<CompletionMux> mux_;
   uint32_t num_partitions_;
   uint32_t num_groups_;
   std::vector<std::unique_ptr<Table>> tables_;
@@ -437,8 +373,7 @@ class Cluster {
     std::atomic<uint64_t> pk_reads{0}, batch_reads{0}, batch_writes{0}, ppis_scans{0},
         index_scans{0}, full_table_scans{0}, commits{0}, aborts{0}, rows_read{0},
         rows_written{0}, lock_timeouts{0}, lock_waits{0}, round_trips{0},
-        overlapped_round_trips{0}, cross_tx_overlapped_round_trips{0}, mux_rounds{0},
-        mux_windows{0}, mux_gather_waits{0}, mux_gathered_windows{0};
+        overlapped_round_trips{0};
   };
   mutable AtomicStats stats_;
 };

@@ -8,7 +8,6 @@
 #include <tuple>
 
 #include "ndb/cluster.h"
-#include "ndb/mux.h"
 
 namespace hops::ndb {
 
@@ -524,62 +523,8 @@ hops::Status Transaction::RunWindowData(std::vector<InFlightBatch>& flight,
   return first_error;
 }
 
-bool Transaction::WindowMuxEligible() const {
-  for (const auto& f : in_flight_) {
-    if (f.read != nullptr && (f.read->lock_order() == BatchLockOrder::kStagedOrder ||
-                              f.read->has_locking_scan())) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool Transaction::TryAcquireRowLock(TableId table, uint32_t partition, const std::string& ekey,
-                                    LockMode mode, bool* fresh, bool* upgraded) {
-  *fresh = false;
-  *upgraded = false;
-  if (mode == LockMode::kReadCommitted) return true;
-  auto key = std::make_tuple(table, partition, ekey);
-  auto it = held_locks_.find(key);
-  if (it != held_locks_.end() &&
-      (it->second == LockMode::kExclusive || it->second == mode)) {
-    return true;  // already hold a lock at least this strong
-  }
-  Partition& p = *cluster_->table(table).partitions[partition];
-  if (!p.TryAcquireLock(id_, ekey, mode)) return false;
-  *fresh = it == held_locks_.end();
-  // Not fresh and not covered: a held shared lock was stepped up to
-  // exclusive.
-  *upgraded = !*fresh;
-  held_locks_[key] = mode;
-  return true;
-}
-
-void Transaction::DropRowLock(TableId table, uint32_t partition, const std::string& ekey) {
-  auto it = held_locks_.find(std::make_tuple(table, partition, ekey));
-  if (it == held_locks_.end()) return;
-  cluster_->table(table).partitions[partition]->ReleaseLock(id_, ekey);
-  held_locks_.erase(it);
-}
-
-void Transaction::DowngradeRowLock(TableId table, uint32_t partition, const std::string& ekey) {
-  auto it = held_locks_.find(std::make_tuple(table, partition, ekey));
-  if (it == held_locks_.end()) return;
-  cluster_->table(table).partitions[partition]->DowngradeLock(id_, ekey);
-  it->second = LockMode::kShared;
-}
-
 hops::Status Transaction::FlushPending() {
   if (in_flight_.empty()) return hops::Status::Ok();
-  // A mux-eligible window registers with the cluster's shared completion
-  // loop, where it may merge with other transactions' windows into one
-  // overlapped round trip. Staged-order and locking-scan windows keep the
-  // per-transaction path (their lock waits must happen on this thread), as
-  // do latency-sensitive transactions (their wait in the mux line would
-  // dwarf their own work).
-  if (mux_ != nullptr && !latency_sensitive_ && WindowMuxEligible()) {
-    return mux_->SubmitAndWait(this);
-  }
   std::vector<InFlightBatch> flight = std::move(in_flight_);
   in_flight_.clear();
 
@@ -906,9 +851,7 @@ hops::Status Transaction::Commit() {
   }
   RecordAccess(AccessKind::kCommit, 0, std::move(touches), commit_round_trips);
 
-  // Release all row locks; deferred mux windows waiting on any of them can
-  // retry immediately.
-  const bool released_locks = !held_locks_.empty();
+  // Release all row locks.
   for (const auto& [lk, mode] : held_locks_) {
     const auto& [table_id, partition, ekey] = lk;
     cluster_->table(table_id).partitions[partition]->ReleaseLock(id_, ekey);
@@ -916,7 +859,6 @@ hops::Status Transaction::Commit() {
   held_locks_.clear();
   write_set_.clear();
   state_ = State::kCommitted;
-  if (released_locks && mux_ != nullptr) mux_->NotifyLocksReleased();
 
   uint64_t commits = cluster_->stats_.commits.fetch_add(1, std::memory_order_relaxed) + 1;
   if (commits % Cluster::kGlobalCheckpointCommits == 0) {
@@ -933,7 +875,6 @@ void Transaction::Abort() {
                            hops::Status::TxAborted("transaction aborted before the batch flushed"));
   }
   in_flight_.clear();
-  const bool released_locks = !held_locks_.empty();
   for (const auto& [lk, mode] : held_locks_) {
     const auto& [table_id, partition, ekey] = lk;
     cluster_->table(table_id).partitions[partition]->ReleaseLock(id_, ekey);
@@ -942,7 +883,6 @@ void Transaction::Abort() {
   write_set_.clear();
   state_ = State::kAborted;
   cluster_->stats_.aborts.fetch_add(1, std::memory_order_relaxed);
-  if (released_locks && mux_ != nullptr) mux_->NotifyLocksReleased();
 }
 
 }  // namespace hops::ndb

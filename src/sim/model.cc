@@ -173,11 +173,7 @@ class HopsFsSimulation {
     // carrier's network trip AND its completion wave -- all touched
     // partitions scatter together and the window completes when the slowest
     // one answers, so k overlapped trips cost max, not sum, of their
-    // latencies (the async pipelined engine's wall-clock win). An access
-    // marked co_scheduled opens a NEW window whose trip another
-    // transaction's window already paid in the same completion-mux round:
-    // it scatters like any carrier but charges no network trip of its own,
-    // so windows merged across transactions also cost max, not sum.
+    // latencies (the async pipelined engine's wall-clock win).
     const kv::Access& carrier = c.trace->accesses[c.access_idx++];
     // Asynchronous metadata commits: accesses marked background are the
     // applier's drain, captured past the acknowledgment point. The client
@@ -188,13 +184,12 @@ class HopsFsSimulation {
     if (carrier.background) RecordOpMetrics(c);
     std::vector<const kv::Access*> window{&carrier};
     while (c.access_idx < c.trace->accesses.size() &&
-           c.trace->accesses[c.access_idx].round_trips == 0 &&
-           !c.trace->accesses[c.access_idx].co_scheduled) {
+           c.trace->accesses[c.access_idx].round_trips == 0) {
       const kv::Access& rider = c.trace->accesses[c.access_idx++];
       if (rider.kind == kv::AccessKind::kPkWrite) continue;  // piggybacked lock
       window.push_back(&rider);
     }
-    double rtt = carrier.co_scheduled ? 0 : cal_.nn_db_rtt_us * carrier.round_trips;
+    double rtt = cal_.nn_db_rtt_us * carrier.round_trips;
     sim_.After(rtt, [this, &c, window = std::move(window)] {
       // Scatter: every partition touched anywhere in the window serves its
       // share in parallel.

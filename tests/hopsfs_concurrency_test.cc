@@ -2,8 +2,8 @@
 // serialization of conflicting ops, client failover with zero downtime,
 // database-node failure handling (§7.6), and the handler-pool stress
 // offensive: many concurrent clients funneled through a bounded pool of
-// handler threads sharing the database's completion mux, verified against a
-// single-threaded oracle replay of the same deterministic op scripts.
+// handler threads, verified against a single-threaded oracle replay of the
+// same deterministic op scripts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -431,18 +431,16 @@ TEST_F(ConcurrencyTest, CreateOverStaleHintStillCachesTheNewInode) {
 
 // ---------------------------------------------------------------------------
 // Handler-pool stress offensive: concurrent clients through a bounded
-// handler pool + completion mux, verified against a single-threaded oracle.
+// handler pool, verified against a single-threaded oracle.
 // ---------------------------------------------------------------------------
 
 class HandlerPoolTest : public ::testing::Test {
  protected:
-  static std::unique_ptr<MiniCluster> MakeCluster(int num_handlers, bool use_mux,
-                                                  int num_namenodes) {
+  static std::unique_ptr<MiniCluster> MakeCluster(int num_handlers, int num_namenodes) {
     MiniClusterOptions options;
     options.db.num_datanodes = 4;
     options.db.replication = 2;
     options.db.lock_wait_timeout = std::chrono::milliseconds(500);
-    options.db.use_completion_mux = use_mux;
     options.fs.num_handlers = num_handlers;
     options.num_namenodes = num_namenodes;
     options.num_datanodes = 3;
@@ -530,9 +528,8 @@ TEST_F(HandlerPoolTest, StressedPoolMatchesSingleThreadedOracleReplay) {
   constexpr int kWorkers = 6;
   constexpr int kOps = 40;
 
-  // Stressed run: 6 concurrent clients behind 3 handlers per namenode, all
-  // transactions sharing the completion mux.
-  auto stressed = MakeCluster(/*num_handlers=*/3, /*use_mux=*/true, /*num_namenodes=*/2);
+  // Stressed run: 6 concurrent clients behind 3 handlers per namenode.
+  auto stressed = MakeCluster(/*num_handlers=*/3, /*num_namenodes=*/2);
   {
     Client setup = stressed->NewClient(NamenodePolicy::kRoundRobin, "setup");
     ASSERT_TRUE(setup.Mkdirs("/stress").ok());
@@ -549,21 +546,17 @@ TEST_F(HandlerPoolTest, StressedPoolMatchesSingleThreadedOracleReplay) {
     }
     for (auto& t : threads) t.join();
   }
-  // The pool really served the requests (and merged windows across
-  // transactions at least once under 6-way concurrency).
+  // The pool really served the requests.
   uint64_t served = 0;
   for (int i = 0; i < stressed->num_namenodes(); ++i) {
     ASSERT_NE(stressed->namenode(i).handler_pool(), nullptr);
     served += stressed->namenode(i).handler_pool()->requests_served();
   }
   EXPECT_GT(served, 0u);
-  if (stressed->db().kind() == kv::EngineKind::kNdb) {
-    EXPECT_GT(stressed->db().StatsSnapshot().mux_windows, 0u);
-  }
 
   // Oracle: the same scripts replayed one worker at a time on an inline
-  // (no pool, no mux) cluster.
-  auto oracle = MakeCluster(/*num_handlers=*/0, /*use_mux=*/false, /*num_namenodes=*/1);
+  // (no pool) cluster.
+  auto oracle = MakeCluster(/*num_handlers=*/0, /*num_namenodes=*/1);
   {
     Client setup = oracle->NewClient(NamenodePolicy::kSticky, "setup");
     ASSERT_TRUE(setup.Mkdirs("/stress").ok());
@@ -585,7 +578,7 @@ TEST_F(HandlerPoolTest, StressedPoolMatchesSingleThreadedOracleReplay) {
 }
 
 TEST_F(HandlerPoolTest, ManyMoreClientsThanHandlersAllSucceed) {
-  auto cluster = MakeCluster(/*num_handlers=*/2, /*use_mux=*/true, /*num_namenodes=*/1);
+  auto cluster = MakeCluster(/*num_handlers=*/2, /*num_namenodes=*/1);
   {
     Client setup = cluster->NewClient(NamenodePolicy::kSticky, "setup");
     ASSERT_TRUE(setup.Mkdirs("/q").ok());
@@ -623,7 +616,7 @@ TEST_F(HandlerPoolTest, SubtreeWaitersDoNotStarveTheSubtreeOperation) {
   // Backoff sleeps now happen on the caller's thread, so waiters drain from
   // the pool, the subtree delete progresses, and the waiters' retries
   // succeed once the lock clears.
-  auto cluster = MakeCluster(/*num_handlers=*/2, /*use_mux=*/true, /*num_namenodes=*/1);
+  auto cluster = MakeCluster(/*num_handlers=*/2, /*num_namenodes=*/1);
   Client setup = cluster->NewClient(NamenodePolicy::kSticky, "setup");
   ASSERT_TRUE(setup.Mkdirs("/d/sub").ok());
   for (int i = 0; i < 60; ++i) {
@@ -655,8 +648,8 @@ TEST_F(HandlerPoolTest, SubtreeWaitersDoNotStarveTheSubtreeOperation) {
 
 TEST_F(HandlerPoolTest, ConflictingClientsThroughThePoolKeepInvariants) {
   // Cross-thread conflicts (same directory, crossing renames) through the
-  // pool + mux: outcomes are racy but the namespace invariants are not.
-  auto cluster = MakeCluster(/*num_handlers=*/3, /*use_mux=*/true, /*num_namenodes=*/2);
+  // pool: outcomes are racy but the namespace invariants are not.
+  auto cluster = MakeCluster(/*num_handlers=*/3, /*num_namenodes=*/2);
   Client setup = cluster->NewClient(NamenodePolicy::kRoundRobin, "setup");
   ASSERT_TRUE(setup.Mkdirs("/war/a").ok());
   ASSERT_TRUE(setup.Mkdirs("/war/b").ok());

@@ -93,6 +93,68 @@ TEST_F(IntentLogTest, CreateAcksBeforeApplyAndReadWaitsForIt) {
   EXPECT_EQ(cluster_->db().TableRowCount(cluster_->schema().op_intents), 0u);
 }
 
+// A covering wait that outlasts FsConfig::intent_wait_timeout fails the op
+// with a retryable kUnavailable: it must neither hang nor quietly run
+// against committed state that lacks the acknowledged create (which would
+// report NotFound for a file the client was told exists).
+TEST(IntentWaitTimeoutTest, CoveringWaitTimeoutFailsTheOpInsteadOfReadingStale) {
+  MiniClusterOptions options;
+  options.db.num_datanodes = 4;
+  options.db.replication = 2;
+  options.fs.async_metadata_commit = true;
+  options.fs.intent_wait_timeout = std::chrono::milliseconds(50);
+  options.num_namenodes = 1;
+  auto made = MiniCluster::Start(options);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  auto cluster = *std::move(made);
+  Namenode& nn = cluster->namenode(0);
+  ASSERT_TRUE(nn.Mkdirs("/d").ok());
+  nn.FlushIntents();
+
+  nn.SetIntentApplierPausedForTesting(true);
+  ASSERT_TRUE(nn.Create("/d/f", "writer").ok());
+  auto info = nn.GetFileInfo("/d/f");
+  ASSERT_FALSE(info.ok()) << "a timed-out covering wait must not serve committed state";
+  EXPECT_EQ(info.status().code(), hops::StatusCode::kUnavailable) << info.status().ToString();
+  EXPECT_GE(nn.intent_stats().covering_waits, 1u);
+
+  // Once the applier runs again, a retry observes the acknowledged create.
+  nn.SetIntentApplierPausedForTesting(false);
+  nn.FlushIntents();
+  auto retried = nn.GetFileInfo("/d/f");
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_FALSE(retried->is_dir);
+}
+
+// Read-your-writes across namenodes for acknowledged writes: a create on
+// namenode B under a directory whose mkdirs namenode A acknowledged but has
+// not applied must wait for that intent, not fail with NotFound -- B's own
+// pending index cannot see A's log.
+TEST_F(IntentLogTest, CreateUnderAPeersUnappliedMkdirsWaitsForIt) {
+  Namenode& a = cluster_->namenode(0);
+  Namenode& b = cluster_->namenode(1);
+  a.SetIntentApplierPausedForTesting(true);
+  ASSERT_TRUE(a.Mkdirs("/peer").ok());
+
+  std::atomic<bool> done{false};
+  hops::Status st;
+  std::thread creator([&] {
+    st = b.Create("/peer/f", "writer");
+    done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(done.load()) << "the create must wait out the peer's mkdirs intent";
+  a.SetIntentApplierPausedForTesting(false);
+  creator.join();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+
+  a.FlushIntents();
+  b.FlushIntents();
+  auto info = a.GetFileInfo("/peer/f");
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_FALSE(info->is_dir);
+}
+
 TEST_F(IntentLogTest, ConflictsValidateAgainstAcknowledgedState) {
   Namenode& nn = cluster_->namenode(0);
   ASSERT_TRUE(nn.Mkdirs("/c").ok());

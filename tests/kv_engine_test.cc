@@ -98,12 +98,6 @@ TEST(MiniClusterValidationTest, RejectsNonsenseFsKnobs) {
   MiniClusterOptions o3;
   o3.db.max_in_flight_batches = 0;
   ExpectStartRejects(o3, "db.max_in_flight_batches");
-
-  MiniClusterOptions o4;
-  o4.db.use_completion_mux = false;
-  o4.db.mux_adaptive_gather = true;
-  o4.db.mux_adaptive_gather_auto = false;
-  ExpectStartRejects(o4, "mux_adaptive_gather");
 }
 
 TEST(MiniClusterValidationTest, DefaultsStartAndRecordTheResolvedEngine) {

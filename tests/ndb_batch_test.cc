@@ -1,12 +1,16 @@
 // The batched read/write path: partition grouping and single-round-trip
 // cost accounting, read-your-writes inside a batch, global lock ordering
-// (deadlock freedom under concurrent batches), and failure behavior when a
-// partition's whole node group is down.
+// (deadlock freedom under concurrent batches), failure behavior when a
+// partition's whole node group is down, and concurrent transactions each
+// flushing their own pipelined windows: isolation between them, errors and
+// lock-wait timeouts that stay with their own transaction, and exact trip
+// accounting across many threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "ndb/cluster.h"
 
@@ -250,6 +254,121 @@ TEST_F(NdbBatchTest, BatchFailsWhenNodeGroupIsDown) {
   auto res2 = tx2->BatchRead(table_, keys, LockMode::kReadCommitted);
   ASSERT_TRUE(res2.ok());
   for (const auto& slot : *res2) EXPECT_TRUE(slot.has_value());
+}
+
+// Two transactions with windows in flight at once stay isolated: the
+// reader's window sees the committed value, never the writer's staged row,
+// while the writer reads its own write through a later window.
+TEST_F(NdbBatchTest, ReadYourWritesStaysWithinEachConcurrentTransaction) {
+  MustInsert(7, "shared", 1);
+  auto writer = cluster_->Begin();
+  auto reader = cluster_->Begin();
+  WriteBatch wb;
+  wb.Write(table_, Row{int64_t{7}, "shared", int64_t{99}});
+  ReadBatch rb;
+  rb.Get(table_, {int64_t{7}, "shared"});
+  auto pw = writer->ExecuteAsync(wb);
+  auto pr = reader->ExecuteAsync(rb);
+  ASSERT_TRUE(pw.Wait().ok());
+  ASSERT_TRUE(pr.Wait().ok());
+  ASSERT_TRUE(rb.row(0).has_value());
+  EXPECT_EQ((*rb.row(0))[2].i64(), 1)
+      << "the reader must see the committed value, not the writer's staged row";
+
+  ReadBatch own;
+  own.Get(table_, {int64_t{7}, "shared"});
+  ASSERT_TRUE(writer->ExecuteAsync(own).Wait().ok());
+  EXPECT_EQ((*own.row(0))[2].i64(), 99);
+  ASSERT_TRUE(writer->Commit().ok());
+
+  ReadBatch again;
+  again.Get(table_, {int64_t{7}, "shared"});
+  ASSERT_TRUE(reader->ExecuteAsync(again).Wait().ok());
+  EXPECT_EQ((*again.row(0))[2].i64(), 99) << "visible to everyone after the commit";
+  ASSERT_TRUE(reader->Commit().ok());
+}
+
+// A failing window poisons only its own transaction; a concurrent healthy
+// transaction's window completes and commits.
+TEST_F(NdbBatchTest, WindowErrorReachesOnlyItsOwnTransaction) {
+  MustInsert(3, "dup", 1);
+  MustInsert(4, "f", 4);
+  auto bad_tx = cluster_->Begin();
+  auto good_tx = cluster_->Begin();
+  WriteBatch bad;
+  bad.Insert(table_, Row{int64_t{3}, "dup", int64_t{9}});  // collides
+  ReadBatch good;
+  good.Get(table_, {int64_t{4}, "f"});
+  hops::Status bad_st, good_st;
+  std::thread tb([&] { bad_st = bad_tx->ExecuteAsync(bad).Wait(); });
+  std::thread tg([&] { good_st = good_tx->ExecuteAsync(good).Wait(); });
+  tb.join();
+  tg.join();
+
+  EXPECT_EQ(bad_st.code(), hops::StatusCode::kAlreadyExists);
+  ASSERT_TRUE(good_st.ok()) << good_st.ToString();
+  EXPECT_EQ((*good.row(0))[2].i64(), 4);
+  EXPECT_EQ(bad_tx->Commit().code(), hops::StatusCode::kAlreadyExists)
+      << "the failure stays sticky on the failing transaction";
+  EXPECT_TRUE(good_tx->Commit().ok());
+}
+
+// A window blocked on a row whose holder never commits reports kLockTimeout
+// through its handle and aborts its own transaction; the holder is unharmed.
+TEST_F(NdbBatchTest, LockWaitTimeoutAbortsOnlyTheWaitingTransaction) {
+  MustInsert(5, "held", 1);
+  auto holder = cluster_->Begin();
+  ASSERT_TRUE(holder->Read(table_, {int64_t{5}, "held"}, LockMode::kExclusive).ok());
+
+  auto before = cluster_->StatsSnapshot();
+  auto blocked = cluster_->Begin();
+  ReadBatch rb;
+  rb.Get(table_, {int64_t{5}, "held"}, LockMode::kExclusive);
+  EXPECT_EQ(blocked->ExecuteAsync(rb).Wait().code(), hops::StatusCode::kLockTimeout);
+  EXPECT_FALSE(blocked->active()) << "the timeout aborts the waiting transaction";
+  EXPECT_EQ(cluster_->StatsSnapshot().lock_timeouts - before.lock_timeouts, 1u);
+  EXPECT_TRUE(holder->active());
+  EXPECT_TRUE(holder->Commit().ok());
+}
+
+// N threads x M windows of K batches each, every thread flushing its own
+// transaction's windows: each window is one trip, and round_trips +
+// overlapped_round_trips stays the sync-equivalent trip count.
+TEST_F(NdbBatchTest, ManyThreadsManyWindowsReconcileExactly) {
+  constexpr int kTx = 4, kWindows = 3, kBatches = 2;
+  for (int64_t p = 0; p < 8; ++p) MustInsert(p, "f", p);
+  auto before = cluster_->StatsSnapshot();
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kTx; ++t) {
+    threads.emplace_back([&, t] {
+      auto tx = cluster_->Begin();
+      for (int w = 0; w < kWindows; ++w) {
+        std::vector<ReadBatch> batches(kBatches);
+        std::vector<PendingBatch> pending;
+        for (int b = 0; b < kBatches; ++b) {
+          batches[static_cast<size_t>(b)].Get(table_, {int64_t{(t + w + b) % 8}, "f"});
+          pending.push_back(tx->ExecuteAsync(batches[static_cast<size_t>(b)]));
+        }
+        for (auto& p : pending) {
+          if (!p.Wait().ok()) failures.fetch_add(1);
+        }
+        for (const auto& b : batches) {
+          if (!b.row(0).has_value()) failures.fetch_add(1);
+        }
+      }
+      if (!tx->Commit().ok()) failures.fetch_add(1);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  auto after = cluster_->StatsSnapshot();
+  const uint64_t windows = kTx * kWindows;
+  EXPECT_EQ(after.round_trips - before.round_trips, windows);
+  EXPECT_EQ((after.round_trips + after.overlapped_round_trips) -
+                (before.round_trips + before.overlapped_round_trips),
+            windows * kBatches);
+  EXPECT_EQ(after.lock_timeouts - before.lock_timeouts, 0u);
 }
 
 }  // namespace

@@ -164,61 +164,6 @@ TEST(ModelOverlapTest, OverlappedWindowCostsMaxNotSum) {
   EXPECT_NEAR(chained.latency_us.Mean(), expect_chained, expect_chained * 0.05);
 }
 
-// A window co-scheduled by the completion mux (round_trips == 0 but
-// co_scheduled set: its network trip was paid by ANOTHER transaction's
-// window in the same round) must open its own scatter wave without a second
-// DB round trip -- windows merged across transactions cost max, not sum, of
-// their trips.
-TEST(ModelOverlapTest, CoScheduledWindowFromAnotherTransactionCostsMaxNotSum) {
-  Calibration cal;
-  auto mix = wl::OpMix::Single(wl::OpType::kRead);
-
-  constexpr uint32_t kRows = 100;
-  const double service_us = cal.db_access_base_us + kRows * cal.db_row_cpu_us;
-  auto make_pools = [&](bool co_scheduled) {
-    wl::TracePools pools;
-    pools.num_partitions = 2;
-    wl::OpTrace trace;
-    ndb::Access first;
-    first.kind = ndb::AccessKind::kBatchRead;
-    first.round_trips = 1;
-    first.parts = {ndb::PartTouch{0, 0, kRows, false}};
-    ndb::Access second;
-    second.kind = ndb::AccessKind::kBatchRead;
-    second.round_trips = co_scheduled ? 0 : 1;
-    second.co_scheduled = co_scheduled;
-    second.parts = {ndb::PartTouch{1, 1, kRows, false}};
-    trace.accesses = {first, second};
-    pools.pools[wl::OpType::kRead] = {trace};
-    return pools;
-  };
-
-  WorkloadSpec spec;
-  spec.mix = &mix;
-  spec.num_clients = 1;
-  spec.duration_s = 0.05;
-  spec.warmup_s = 0;
-
-  auto co_pools = make_pools(/*co_scheduled=*/true);
-  spec.traces = &co_pools;
-  auto co = SimulateHopsFs(HopsTopology{1, 2}, spec, cal);
-  auto paid_pools = make_pools(/*co_scheduled=*/false);
-  spec.traces = &paid_pools;
-  auto paid = SimulateHopsFs(HopsTopology{1, 2}, spec, cal);
-
-  // Co-scheduled: both windows scatter, but the second trip is shared with
-  // another transaction -- only the service remains. A co-scheduled access
-  // is still a window BOUNDARY (not a rider of the previous window), so its
-  // service queues behind the first wave.
-  const double expect_co = 2 * cal.client_nn_rtt_us + cal.nn_cpu_per_op_us +
-                           cal.nn_db_rtt_us + 2 * service_us;
-  const double expect_paid = expect_co + cal.nn_db_rtt_us;
-  ASSERT_GT(co.ops, 0u);
-  ASSERT_GT(paid.ops, 0u);
-  EXPECT_NEAR(co.latency_us.Mean(), expect_co, expect_co * 0.05);
-  EXPECT_NEAR(paid.latency_us.Mean(), expect_paid, expect_paid * 0.05);
-}
-
 // ---------------------------------------------------------------------------
 // Cluster-model shape tests (trace-driven; small capture cluster).
 // ---------------------------------------------------------------------------
