@@ -1,6 +1,7 @@
 // Shared setup for the figure/table benchmarks: build a capture cluster,
 // bulk-load a namespace with the paper's shape statistics, and record
-// database-access trace pools that the simulator replays (see DESIGN.md §2).
+// database-access trace pools that the simulator replays (src/sim/model.h
+// says why simulation stands in for the paper's testbed).
 #pragma once
 
 #include <atomic>

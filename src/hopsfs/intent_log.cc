@@ -164,23 +164,17 @@ hops::Status IntentLog::ReserveDir(const std::string& path, const std::string& u
   return hops::Status::Ok();
 }
 
-void IntentLog::ReserveTouch(const std::string& path, bool is_dir, const std::string& user) {
+void IntentLog::ReserveTouch(const std::string& path, const std::string& owner,
+                             bool owner_changes) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = pending_.find(path);
   if (it != pending_.end()) {
     it->second.ops++;
+    if (owner_changes) it->second.user = owner;
     return;
   }
-  pending_.emplace(path, Pending{is_dir, user, 1});
+  pending_.emplace(path, Pending{/*is_dir=*/false, owner, 1});
   pending_count_.fetch_add(1, std::memory_order_release);
-}
-
-void IntentLog::AbortReservation(const std::string& path) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ReleaseOneLocked(path);
-  }
-  cv_.notify_all();
 }
 
 void IntentLog::ReleaseOneLocked(const std::string& path) {

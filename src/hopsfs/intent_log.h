@@ -100,7 +100,7 @@ struct IntentLogStats {
 
 class IntentLog {
  public:
-  // Applies one intent (the namenode routes it to the synchronous op body).
+  // Applies one intent (the namenode runs the op's apply body).
   // Runs on the applier thread or one of its batch workers; must be
   // thread-safe. kFailover means the namenode died: the applier parks and
   // leaves the remaining intents in the log for adoption.
@@ -122,9 +122,9 @@ class IntentLog {
   void Abandon();
 
   // True on the applier thread or one of its apply-batch workers. The
-  // namenode uses this to route applier-issued ops to the synchronous
-  // bodies, skip the pending-intent wait, and mark their database accesses
-  // as background work in cost traces.
+  // namenode uses this to skip the pending-intent wait for applier-issued
+  // transactions and to mark their database accesses as background work in
+  // cost traces.
   static bool OnApplierThread();
   // RAII applier marker for code that applies intents from another thread
   // (the leader's adoption sweep).
@@ -150,18 +150,19 @@ class IntentLog {
   // Reservations register `path` as pending before its intent is appended,
   // so racing submissions and readers observe it. Conflicts with an
   // existing entry surface the same statuses the committed namespace would.
-  // Each reservation is balanced by Submit (released on failure) or
-  // AbortReservation, and consumed when the intent applies.
+  // Each reservation is balanced by Submit (released on failure) and
+  // consumed when the intent applies.
   //
   // A file create: kAlreadyExists over a pending file or dir.
   hops::Status ReserveCreate(const std::string& path, const std::string& user);
   // One mkdir level: kNotDirectory over a pending file; a pending dir
   // re-reserves compatibly (mkdirs is idempotent).
   hops::Status ReserveDir(const std::string& path, const std::string& user);
-  // Unconditional rider for a setattr on a path that exists (committed or
-  // pending): increments the pending entry, creating one if needed.
-  void ReserveTouch(const std::string& path, bool is_dir, const std::string& user);
-  void AbortReservation(const std::string& path);
+  // Unconditional rider for a setattr on a file that exists (committed or
+  // pending): increments the pending entry, creating one owned by `owner` if
+  // needed. A chown (`owner_changes`) also makes `owner` an existing entry's
+  // owner-to-be.
+  void ReserveTouch(const std::string& path, const std::string& owner, bool owner_changes);
 
   // When set, the appender/cleanup transactions deliver their cost traces
   // here (the namenode forwards its own sink so async ops' traces include
@@ -208,7 +209,6 @@ class IntentLog {
   // Submissions currently parked in the append queue.
   size_t QueuedAppendsForTesting() const;
 
-  bool HasPending() const { return pending_count_.load(std::memory_order_acquire) > 0; }
   IntentLogStats stats() const;
   // The acknowledged-path latency is measured by the namenode around the
   // whole validate+append sequence and recorded here.

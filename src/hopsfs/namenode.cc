@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cassert>
 #include <thread>
+#include <tuple>
 
 #include "hopsfs/partition.h"
 #include "util/clock.h"
@@ -725,232 +726,31 @@ hops::Result<std::vector<kv::Row>> Namenode::ScanChildren(kv::Txn& tx,
 
 // --- Operations ---------------------------------------------------------------
 
+// Create, mkdirs and file setattr share one validate -> plan -> apply shape.
+// Validation checks the op against acknowledged state; the plan is an
+// IntentRecord; the apply body is the op's Figure-4 transaction, which
+// re-checks everything under locks. Sync commit runs the apply body inline
+// (its own locked checks ARE the validation, so no extra trip); async commit
+// appends the plan to the intent log, acknowledges once it is durable, and
+// the applier runs the same apply body later (ApplyIntent).
+
 hops::Status Namenode::Mkdirs(const std::string& path, const UserContext& user) {
   HOPS_RETURN_IF_ERROR(CheckAlive());
   HOPS_ASSIGN_OR_RETURN(components, SplitPath(path));
-  if (UseAsyncCommit()) return MkdirsAsync(components, user);
-  return MkdirsSync(components, user);
-}
-
-hops::Status Namenode::MkdirsSync(const std::vector<std::string>& components,
-                                  const UserContext& user) {
-  // Create missing directories top-down, one transaction per level (each
-  // level is an ordinary "mkdir" inode operation).
-  for (size_t depth = 1; depth <= components.size(); ++depth) {
-    std::vector<std::string> prefix(components.begin(), components.begin() + depth);
-    uint64_t hint_pv = InodePv(static_cast<int>(depth), 0, prefix.back());
-    hops::Status st = RunTx(
-        kv::TxHint{schema_->inodes, hint_pv}, [&](kv::Txn& tx) -> hops::Status {
-          LockSpec spec;
-          spec.target_mode = kv::LockMode::kExclusive;
-          spec.lock_parent = true;
-          spec.target_must_exist = false;
-          HOPS_ASSIGN_OR_RETURN(r, ResolveAndLock(tx, prefix, spec));
-          HOPS_RETURN_IF_ERROR(CheckPathTraversal(r, user));
-          if (r.target_exists) {
-            return r.target().is_dir ? hops::Status::Ok()
-                                     : hops::Status::NotDirectory(r.target().name);
-          }
-          Inode& parent = r.parent_of_target();
-          HOPS_RETURN_IF_ERROR(CheckAccess(parent, user, kWrite));
-          HOPS_ASSIGN_OR_RETURN(id, inode_ids_.Next());
-          Inode dir;
-          dir.parent_id = parent.id;
-          dir.name = prefix.back();
-          dir.id = id;
-          dir.is_dir = true;
-          dir.owner = user.user;
-          dir.group = "hdfs";
-          dir.mtime = NowMicros();
-          std::vector<Inode> ancestors(r.chain.begin(), r.chain.end());
-          HOPS_RETURN_IF_ERROR(UpdateQuotaUsage(tx, ancestors, +1, 0, /*enforce=*/true));
-          HOPS_RETURN_IF_ERROR(tx.Insert(schema_->inodes, ToRow(dir),
-                                         InodePv(static_cast<int>(depth), parent.id,
-                                                 dir.name)));
-          if (parent.id != kRootInode) {
-            parent.mtime = NowMicros();
-            HOPS_RETURN_IF_ERROR(
-                tx.Update(schema_->inodes, ToRow(parent), r.parent_pv()));
-          }
-          hint_cache_.Put(prefix, depth - 1, parent.id, id, r.hint_epoch, true);
-          return hops::Status::Ok();
-        });
-    if (!st.ok()) return st;
-  }
-  return hops::Status::Ok();
-}
-
-hops::Status Namenode::Create(const std::string& path, const std::string& client_name,
-                              const UserContext& user) {
-  HOPS_RETURN_IF_ERROR(CheckAlive());
-  HOPS_ASSIGN_OR_RETURN(components, SplitPath(path));
-  if (components.empty()) return hops::Status::IsDirectory("/");
-  if (!UseAsyncCommit()) return CreateSync(components, client_name, user);
-  // Read-your-writes across namenodes: the parent may be a mkdirs a PEER
-  // acknowledged but has not applied, which this namenode's pending index
-  // cannot see. Re-validate while such an intent is in the log, bounded
-  // like WaitCovering.
-  const std::string parent =
-      JoinPath(std::vector<std::string>(components.begin(), components.end() - 1));
-  const auto deadline = std::chrono::steady_clock::now() + config_->intent_wait_timeout;
-  hops::Status st = CreateAsync(components, client_name, user);
-  while (st.code() == hops::StatusCode::kNotFound && PeerMkdirsPending(parent)) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return hops::Status::Unavailable("timed out waiting for a peer's mkdirs intent covering " +
-                                       parent + " to apply");
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    st = CreateAsync(components, client_name, user);
-  }
-  return st;
-}
-
-hops::Status Namenode::CreateSync(const std::vector<std::string>& components,
-                                  const std::string& client_name, const UserContext& user) {
-  const std::string path = JoinPath(components);
-  uint64_t hint_pv = InodePv(static_cast<int>(components.size()), 0, components.back());
-  return RunTx(kv::TxHint{schema_->inodes, hint_pv},
-               [&](kv::Txn& tx) -> hops::Status {
-                 LockSpec spec;
-                 spec.target_mode = kv::LockMode::kExclusive;
-                 spec.lock_parent = true;
-                 spec.target_must_exist = false;
-                 HOPS_ASSIGN_OR_RETURN(r, ResolveAndLock(tx, components, spec));
-                 HOPS_RETURN_IF_ERROR(CheckPathTraversal(r, user));
-                 if (r.target_exists) {
-                   if (r.target().is_dir) return hops::Status::IsDirectory(path);
-                   return hops::Status::AlreadyExists(path);
-                 }
-                 Inode& parent = r.parent_of_target();
-                 HOPS_RETURN_IF_ERROR(CheckAccess(parent, user, kWrite));
-                 HOPS_ASSIGN_OR_RETURN(id, inode_ids_.Next());
-                 Inode file;
-                 file.parent_id = parent.id;
-                 file.name = components.back();
-                 file.id = id;
-                 file.is_dir = false;
-                 file.owner = user.user;
-                 file.group = "hdfs";
-                 file.mtime = NowMicros();
-                 file.replication = config_->default_replication;
-                 file.under_construction = true;
-                 std::vector<Inode> ancestors(r.chain.begin(), r.chain.end());
-                 HOPS_RETURN_IF_ERROR(
-                     UpdateQuotaUsage(tx, ancestors, +1, 0, /*enforce=*/true));
-                 HOPS_RETURN_IF_ERROR(
-                     tx.Insert(schema_->inodes, ToRow(file),
-                               InodePv(r.target_depth(), parent.id, file.name)));
-                 Lease lease{id, client_name, NowMicros()};
-                 HOPS_RETURN_IF_ERROR(tx.Insert(schema_->leases, ToRow(lease)));
-                 if (parent.id != kRootInode) {
-                   parent.mtime = NowMicros();
-                   HOPS_RETURN_IF_ERROR(
-                       tx.Update(schema_->inodes, ToRow(parent), r.parent_pv()));
-                 }
-                 hint_cache_.Put(components, components.size() - 1, parent.id, id,
-                                 r.hint_epoch, false);
-                 return hops::Status::Ok();
-               });
-}
-
-// --- Asynchronous metadata commits (ordered intent log + apply stage) --------
-
-hops::Status Namenode::MkdirsAsync(const std::vector<std::string>& components,
-                                   const UserContext& user) {
+  if (!UseAsyncCommit()) return ApplyMkdirs(components, user);
   if (components.empty()) return hops::Status::Ok();
   const int64_t start = MonotonicMicros();
-  const size_t n = components.size();
-  // Phase 1 -- walk the path against acknowledged state: a pending entry
-  // decides a level without touching the database (everything below an
-  // unapplied directory cannot exist committed), the committed walk covers
-  // the rest with read-committed probes. `known` = leading levels that
-  // exist, acknowledged or committed.
-  size_t known = 0;
-  bool pending_mode = false;
-  bool resolved_fast = false;
-  // Fast path -- nothing pending on the path: one hint-batched resolution
-  // settles the whole walk when at most the leaf is missing (the common
-  // mkdirs). A deeper missing interior falls back to the per-level walk,
-  // which is the only way to learn how much of the chain exists.
-  if (!intents_->HasPendingPrefix(JoinPath(components))) {
-    hops::Status fast = RunTx(
-        std::nullopt,
-        [&](kv::Txn& tx) -> hops::Status {
-          LockSpec spec;
-          spec.target_mode = kv::LockMode::kReadCommitted;
-          spec.lock_parent = false;
-          spec.target_must_exist = false;
-          HOPS_ASSIGN_OR_RETURN(r, ResolveAndLock(tx, components, spec));
-          HOPS_RETURN_IF_ERROR(CheckPathTraversal(r, user));
-          if (r.target_exists) {
-            if (!r.target().is_dir) return hops::Status::NotDirectory(components.back());
-            known = n;
-            return hops::Status::Ok();
-          }
-          known = n - 1;
-          return CheckAccess(r.parent_of_target(), user, kWrite);
-        },
-        /*inline_read=*/true);
-    if (fast.ok()) {
-      resolved_fast = true;
-    } else if (fast.code() != hops::StatusCode::kNotFound) {
-      return fast;
-    }
-  }
-  if (!resolved_fast) {
-    // Committed state first at every level: a pending mkdirs entry may be
-    // an idempotent duplicate of an already-committed directory, so only a
-    // pending dir with NO committed row stops the walk in pending mode
-    // (see the same reasoning in CreateAsync's slow path).
-    std::vector<Inode> chain;
-    hops::Status st = RunTx(
-        std::nullopt,
-        [&](kv::Txn& tx) -> hops::Status {
-          known = 0;
-          pending_mode = false;
-          chain.clear();
-          chain.push_back(root_);
-          std::string prefix;
-          for (size_t i = 0; i < n; ++i) {
-            prefix += "/" + components[i];
-            auto p = intents_->LookupPending(prefix);
-            if (p && !p->is_dir) return hops::Status::NotDirectory(prefix);
-            auto out = ReadInode(tx, chain.back().id, components[i], static_cast<int>(i) + 1,
-                                 kv::LockMode::kReadCommitted);
-            if (out.ok()) {
-              if (!out->inode.is_dir) return hops::Status::NotDirectory(prefix);
-              HOPS_RETURN_IF_ERROR(CheckAccess(chain.back(), user, kExec));
-              chain.push_back(std::move(out->inode));
-              known = i + 1;
-              continue;
-            }
-            if (out.status().code() != hops::StatusCode::kNotFound) return out.status();
-            if (p) {
-              known = i + 1;
-              pending_mode = true;
-            }
-            return hops::Status::Ok();
-          }
-          return hops::Status::Ok();
-        },
-        /*inline_read=*/true);
-    if (!st.ok()) return st;
-    if (known < n && !pending_mode) {
-      // Creating under a committed parent: the write check runs here, on the
-      // acknowledged path (the apply re-checks under locks either way).
-      HOPS_RETURN_IF_ERROR(CheckAccess(chain.back(), user, kWrite));
-    }
-  }
-  // Phase 2 -- reserve + append one intent per missing level, top-down, so
-  // the applier (FIFO, ancestor-related intents never batched together)
-  // materializes parents before children.
+  HOPS_ASSIGN_OR_RETURN(known, ValidateAcknowledged(components, user, /*is_dir=*/true));
+  // Plan: one intent per missing level, top-down, so the applier (FIFO,
+  // ancestor-related intents never applied concurrently) materializes
+  // parents before children.
   bool submitted = false;
   std::string prefix;
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < components.size(); ++i) {
     prefix += "/" + components[i];
     if (i < known) continue;
     if (auto p = intents_->LookupPending(prefix)) {
-      // Acknowledged by a concurrent mkdirs since the walk; idempotent.
+      // Acknowledged by a concurrent mkdirs since the validation; idempotent.
       if (!p->is_dir) return hops::Status::NotDirectory(prefix);
       continue;
     }
@@ -963,123 +763,38 @@ hops::Status Namenode::MkdirsAsync(const std::vector<std::string>& components,
     HOPS_RETURN_IF_ERROR(intents_->Submit(std::move(rec)));  // releases on failure
     submitted = true;
   }
-  if (submitted) {
-    intents_->RecordAck(static_cast<uint64_t>(MonotonicMicros() - start));
-  }
+  if (submitted) intents_->RecordAck(static_cast<uint64_t>(MonotonicMicros() - start));
   return hops::Status::Ok();
 }
 
-hops::Status Namenode::CreateAsync(const std::vector<std::string>& components,
-                                   const std::string& client_name, const UserContext& user) {
+hops::Status Namenode::Create(const std::string& path, const std::string& client_name,
+                              const UserContext& user) {
+  HOPS_RETURN_IF_ERROR(CheckAlive());
+  HOPS_ASSIGN_OR_RETURN(components, SplitPath(path));
+  if (components.empty()) return hops::Status::IsDirectory("/");
+  if (!UseAsyncCommit()) return InsertInodeTx(components, /*is_dir=*/false, client_name, user);
   const int64_t start = MonotonicMicros();
-  const size_t n = components.size();
   const std::string target = JoinPath(components);
   // Validation FIRST, reservation second: reserving up front would make a
   // racing second create fail with AlreadyExists even when this one is
   // about to fail validation.
-  if (auto p = intents_->LookupPending(target)) {
-    return p->is_dir ? hops::Status::IsDirectory(target)
-                     : hops::Status::AlreadyExists(target);
-  }
-  // Fast path -- nothing pending anywhere on the path, so committed state is
-  // the whole truth: validate with the same hint-batched resolution the
-  // sync path uses (one round trip on a warm cache, and the Puts it makes
-  // pre-warm the applier's own resolution).
-  bool validated = false;
-  if (!intents_->HasPendingPrefix(target)) {
-    uint64_t hint_pv = InodePv(static_cast<int>(n), 0, components.back());
-    hops::Status st = RunTx(
-        kv::TxHint{schema_->inodes, hint_pv},
-        [&](kv::Txn& tx) -> hops::Status {
-          LockSpec spec;
-          spec.target_mode = kv::LockMode::kReadCommitted;
-          spec.lock_parent = false;
-          spec.target_must_exist = false;
-          HOPS_ASSIGN_OR_RETURN(r, ResolveAndLock(tx, components, spec));
-          HOPS_RETURN_IF_ERROR(CheckPathTraversal(r, user));
-          if (r.target_exists) {
-            return r.target().is_dir ? hops::Status::IsDirectory(target)
-                                     : hops::Status::AlreadyExists(target);
-          }
-          return CheckAccess(r.parent_of_target(), user, kWrite);
-        },
-        /*inline_read=*/true);
-    if (st.ok()) {
-      validated = true;
-    } else if (st.code() != hops::StatusCode::kNotFound ||
-               !intents_->HasPendingPrefix(target)) {
-      return st;
+  auto validated = ValidateAcknowledged(components, user, /*is_dir=*/false);
+  // Read-your-writes across namenodes: the parent may be a mkdirs a PEER
+  // acknowledged but has not applied, which this namenode's pending index
+  // cannot see. Re-validate while such an intent is in the log, bounded
+  // like WaitCovering.
+  const std::string parent =
+      JoinPath(std::vector<std::string>(components.begin(), components.end() - 1));
+  const auto deadline = std::chrono::steady_clock::now() + config_->intent_wait_timeout;
+  while (validated.status().code() == hops::StatusCode::kNotFound && PeerMkdirsPending(parent)) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return hops::Status::Unavailable("timed out waiting for a peer's mkdirs intent covering " +
+                                       parent + " to apply");
     }
-    // else: an intent was acknowledged on this path during the resolution,
-    // so the committed view is incomplete -- re-validate on the slow path.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    validated = ValidateAcknowledged(components, user, /*is_dir=*/false);
   }
-  if (!validated) {
-    // Slow path -- something is pending on the path. Committed state is
-    // probed FIRST at every level: a pending mkdirs entry may be an
-    // idempotent duplicate of a directory that is already committed (via
-    // another namenode or an earlier op), so "pending" alone must never
-    // shortcut the walk. Only a pending dir with NO committed row governs
-    // the chain below it (an uncommitted parent cannot have committed
-    // children). If that chain applies mid-walk the pending index goes
-    // silent while our transaction already read the older state; that shows
-    // up as a miss below an uncommitted dir, and the walk restarts against
-    // the now-committed rows.
-    hops::Status st;
-    for (int restart = 0;; ++restart) {
-      if (restart == 64) return hops::Status::TxAborted("create validation kept racing applies");
-      bool applied_mid_walk = false;
-      st = RunTx(std::nullopt, [&](kv::Txn& tx) -> hops::Status {
-        applied_mid_walk = false;
-        std::vector<Inode> chain;
-        chain.push_back(root_);
-        std::string prefix;
-        bool below_uncommitted = false;
-        for (size_t i = 0; i + 1 < n; ++i) {
-          std::string parent_prefix = prefix;
-          prefix += "/" + components[i];
-          auto p = intents_->LookupPending(prefix);
-          if (p && !p->is_dir) return hops::Status::NotDirectory(prefix);
-          if (below_uncommitted) {
-            if (p) continue;  // pending dir, still governed by the index
-            if (intents_->LookupPending(parent_prefix)) {
-              // Parent is still pending-and-uncommitted, so this level can
-              // be neither committed nor (as just checked) pending.
-              return hops::Status::NotFound(prefix + " does not exist");
-            }
-            applied_mid_walk = true;
-            return hops::Status::Ok();
-          }
-          auto out = ReadInode(tx, chain.back().id, components[i], static_cast<int>(i) + 1,
-                               kv::LockMode::kReadCommitted);
-          if (out.ok()) {
-            if (!out->inode.is_dir) return hops::Status::NotDirectory(prefix);
-            HOPS_RETURN_IF_ERROR(CheckAccess(chain.back(), user, kExec));
-            chain.push_back(std::move(out->inode));
-            continue;
-          }
-          if (out.status().code() != hops::StatusCode::kNotFound) return out.status();
-          if (p) {
-            below_uncommitted = true;
-            continue;
-          }
-          return hops::Status::NotFound(prefix + " does not exist");
-        }
-        if (below_uncommitted) return hops::Status::Ok();
-        // Full committed parent chain: probe the target's committed row too.
-        HOPS_RETURN_IF_ERROR(CheckAccess(chain.back(), user, kWrite));
-        auto out = ReadInode(tx, chain.back().id, components[n - 1], static_cast<int>(n),
-                             kv::LockMode::kReadCommitted);
-        if (out.ok()) {
-          return out->inode.is_dir ? hops::Status::IsDirectory(target)
-                                   : hops::Status::AlreadyExists(target);
-        }
-        if (out.status().code() != hops::StatusCode::kNotFound) return out.status();
-        return hops::Status::Ok();
-      }, /*inline_read=*/true);
-      if (!applied_mid_walk) break;
-    }
-    if (!st.ok()) return st;
-  }
+  HOPS_RETURN_IF_ERROR(validated.status());
   // Reservation is the atomic conflict gate: two racing validated creates
   // of one path serialize here, the loser gets AlreadyExists.
   HOPS_RETURN_IF_ERROR(intents_->ReserveCreate(target, user.user));
@@ -1094,13 +809,210 @@ hops::Status Namenode::CreateAsync(const std::vector<std::string>& components,
   return hops::Status::Ok();
 }
 
-hops::Status Namenode::SubmitSetattrIntent(IntentRecord rec, bool is_dir,
-                                           const std::string& owner, int64_t start_micros) {
-  intents_->ReserveTouch(rec.path, is_dir, owner);
-  hops::Status st = intents_->Submit(std::move(rec));
-  if (!st.ok()) return st;
-  intents_->RecordAck(static_cast<uint64_t>(MonotonicMicros() - start_micros));
+hops::Result<size_t> Namenode::ValidateAcknowledged(const std::vector<std::string>& components,
+                                                    const UserContext& user, bool is_dir) {
+  const size_t n = components.size();
+  const std::string target = JoinPath(components);
+  if (!is_dir) {
+    if (auto p = intents_->LookupPending(target)) {
+      return p->is_dir ? hops::Status::IsDirectory(target) : hops::Status::AlreadyExists(target);
+    }
+  }
+  // Fast path -- nothing pending anywhere on the path, so committed state is
+  // the whole truth: the same hint-batched resolution the apply uses (one
+  // round trip on a warm cache, and its Puts pre-warm the apply's own
+  // resolution). It settles everything unless an interior is missing.
+  if (!intents_->HasPendingPrefix(target)) {
+    size_t known = 0;
+    hops::Status st = RunTx(
+        kv::TxHint{schema_->inodes, InodePv(static_cast<int>(n), 0, components.back())},
+        [&](kv::Txn& tx) -> hops::Status {
+          LockSpec spec;
+          spec.target_mode = kv::LockMode::kReadCommitted;
+          spec.target_must_exist = false;
+          HOPS_ASSIGN_OR_RETURN(r, ResolveAndLock(tx, components, spec));
+          HOPS_RETURN_IF_ERROR(CheckPathTraversal(r, user));
+          if (r.target_exists) {
+            if (!is_dir) {
+              return r.target().is_dir ? hops::Status::IsDirectory(target)
+                                       : hops::Status::AlreadyExists(target);
+            }
+            if (!r.target().is_dir) return hops::Status::NotDirectory(components.back());
+            known = n;
+            return hops::Status::Ok();
+          }
+          known = n - 1;
+          return CheckAccess(r.parent_of_target(), user, kWrite);
+        },
+        /*inline_read=*/true);
+    if (st.ok()) return known;
+    // A missing interior: a mkdirs needs the per-level walk to learn how much
+    // of the chain exists; for a create, it is final unless an intent was
+    // acknowledged on the path during the resolution.
+    if (st.code() != hops::StatusCode::kNotFound ||
+        !(is_dir || intents_->HasPendingPrefix(target))) {
+      return st;
+    }
+  }
+  // Slow path -- a per-level walk. Committed state is probed FIRST at every
+  // level: a pending mkdirs entry may be an idempotent duplicate of a
+  // directory that is already committed, so "pending" alone must never
+  // shortcut the walk. Only a pending dir with NO committed row governs the
+  // chain below it (an uncommitted parent cannot have committed children).
+  // If that chain applies mid-walk the pending index goes silent while our
+  // transaction already read the older state; that shows up as a miss below
+  // an uncommitted dir, and the walk restarts against the committed rows.
+  // A create walks the interiors, a mkdirs every level.
+  const size_t levels = is_dir ? n : n - 1;
+  std::vector<Inode> chain;  // committed levels: root, then the found dirs
+  size_t known = 0;          // leading levels that exist, committed or pending
+  // The deepest pending level, once the walk is below the committed chain.
+  std::optional<IntentLog::PendingInfo> pending_parent;
+  for (int restart = 0;; ++restart) {
+    if (restart == 64) return hops::Status::TxAborted("validation kept racing applies");
+    bool applied_mid_walk = false;
+    hops::Status st = RunTx(
+        std::nullopt,
+        [&](kv::Txn& tx) -> hops::Status {
+          applied_mid_walk = false;
+          chain.assign(1, root_);
+          known = 0;
+          pending_parent.reset();
+          std::string prefix;
+          for (size_t i = 0; i < levels; ++i) {
+            const std::string parent_prefix = prefix;
+            prefix += "/" + components[i];
+            auto p = intents_->LookupPending(prefix);
+            if (p && !p->is_dir) return hops::Status::NotDirectory(prefix);
+            if (pending_parent) {
+              if (!p) {
+                // Neither committed nor pending below a parent that is still
+                // pending-and-uncommitted: the level is missing. A silent
+                // parent means its chain applied mid-walk.
+                if (!intents_->LookupPending(parent_prefix)) applied_mid_walk = true;
+                break;
+              }
+              pending_parent = p;  // a pending dir, still governed by the index
+            } else {
+              auto out = ReadInode(tx, chain.back().id, components[i], static_cast<int>(i) + 1,
+                                   kv::LockMode::kReadCommitted);
+              if (out.ok()) {
+                if (!out->inode.is_dir) return hops::Status::NotDirectory(prefix);
+                chain.push_back(std::move(out->inode));
+              } else if (out.status().code() != hops::StatusCode::kNotFound) {
+                return out.status();
+              } else if (p) {
+                pending_parent = p;
+              } else {
+                break;
+              }
+            }
+            known = i + 1;
+          }
+          if (is_dir || known < levels || pending_parent) return hops::Status::Ok();
+          // A create under a committed parent: probe the target's row too
+          // (a pending target is the reservation's to reject).
+          auto out = ReadInode(tx, chain.back().id, components[n - 1], static_cast<int>(n),
+                               kv::LockMode::kReadCommitted);
+          if (out.ok()) {
+            return out->inode.is_dir ? hops::Status::IsDirectory(target)
+                                     : hops::Status::AlreadyExists(target);
+          }
+          return out.status().code() == hops::StatusCode::kNotFound ? hops::Status::Ok()
+                                                                    : out.status();
+        },
+        /*inline_read=*/true);
+    if (applied_mid_walk) continue;
+    HOPS_RETURN_IF_ERROR(st);
+    break;
+  }
+  if (!is_dir && known < levels) {
+    return hops::Status::NotFound(
+        JoinPath(std::vector<std::string>(components.begin(),
+                                          components.begin() + static_cast<long>(known) + 1)) +
+        " does not exist");
+  }
+  // Access, as the apply would check it once every acknowledged level has
+  // materialized: exec on each committed ancestor of the first level this op
+  // creates (pending dirs are created 0755, which every user may traverse),
+  // then write on that level's parent, committed or pending.
+  for (size_t i = 0; i < chain.size() && i < n; ++i) {
+    HOPS_RETURN_IF_ERROR(CheckAccess(chain[i], user, kExec));
+  }
+  if (known == n) return known;  // a mkdirs whose every level exists
+  if (!pending_parent) {
+    HOPS_RETURN_IF_ERROR(CheckAccess(chain.back(), user, kWrite));
+  } else {
+    Inode to_be;  // default attributes: what the pending mkdirs will insert
+    to_be.name = components[known - 1];
+    to_be.owner = pending_parent->user;
+    HOPS_RETURN_IF_ERROR(CheckAccess(to_be, user, kWrite));
+  }
+  return known;
+}
+
+hops::Status Namenode::ApplyMkdirs(const std::vector<std::string>& components,
+                                   const UserContext& user) {
+  // Create missing directories top-down, one transaction per level (each
+  // level is an ordinary "mkdir" inode operation).
+  for (size_t depth = 1; depth <= components.size(); ++depth) {
+    std::vector<std::string> prefix(components.begin(), components.begin() + depth);
+    HOPS_RETURN_IF_ERROR(InsertInodeTx(prefix, /*is_dir=*/true, /*client_name=*/"", user));
+  }
   return hops::Status::Ok();
+}
+
+hops::Status Namenode::InsertInodeTx(const std::vector<std::string>& components, bool is_dir,
+                                     const std::string& client_name, const UserContext& user) {
+  const std::string path = JoinPath(components);
+  const int depth = static_cast<int>(components.size());
+  return RunTx(
+      kv::TxHint{schema_->inodes, InodePv(depth, 0, components.back())},
+      [&](kv::Txn& tx) -> hops::Status {
+        LockSpec spec;
+        spec.target_mode = kv::LockMode::kExclusive;
+        spec.lock_parent = true;
+        spec.target_must_exist = false;
+        HOPS_ASSIGN_OR_RETURN(r, ResolveAndLock(tx, components, spec));
+        HOPS_RETURN_IF_ERROR(CheckPathTraversal(r, user));
+        if (r.target_exists) {
+          if (is_dir) {
+            return r.target().is_dir ? hops::Status::Ok()
+                                     : hops::Status::NotDirectory(r.target().name);
+          }
+          return r.target().is_dir ? hops::Status::IsDirectory(path)
+                                   : hops::Status::AlreadyExists(path);
+        }
+        Inode& parent = r.parent_of_target();
+        HOPS_RETURN_IF_ERROR(CheckAccess(parent, user, kWrite));
+        HOPS_ASSIGN_OR_RETURN(id, inode_ids_.Next());
+        Inode inode;
+        inode.parent_id = parent.id;
+        inode.name = components.back();
+        inode.id = id;
+        inode.is_dir = is_dir;
+        inode.owner = user.user;
+        inode.group = "hdfs";
+        inode.mtime = NowMicros();
+        if (!is_dir) {
+          inode.replication = config_->default_replication;
+          inode.under_construction = true;
+        }
+        std::vector<Inode> ancestors(r.chain.begin(), r.chain.end());
+        HOPS_RETURN_IF_ERROR(UpdateQuotaUsage(tx, ancestors, +1, 0, /*enforce=*/true));
+        HOPS_RETURN_IF_ERROR(
+            tx.Insert(schema_->inodes, ToRow(inode), InodePv(depth, parent.id, inode.name)));
+        if (!is_dir) {
+          Lease lease{id, client_name, NowMicros()};
+          HOPS_RETURN_IF_ERROR(tx.Insert(schema_->leases, ToRow(lease)));
+        }
+        if (parent.id != kRootInode) {
+          parent.mtime = NowMicros();
+          HOPS_RETURN_IF_ERROR(tx.Update(schema_->inodes, ToRow(parent), r.parent_pv()));
+        }
+        hint_cache_.Put(components, components.size() - 1, parent.id, id, r.hint_epoch, is_dir);
+        return hops::Status::Ok();
+      });
 }
 
 hops::Status Namenode::ApplyIntent(const IntentRecord& rec) {
@@ -1109,17 +1021,17 @@ hops::Status Namenode::ApplyIntent(const IntentRecord& rec) {
   HOPS_ASSIGN_OR_RETURN(components, SplitPath(rec.path));
   switch (rec.op) {
     case IntentOp::kMkdirs:
-      return MkdirsSync(components, user);
+      return ApplyMkdirs(components, user);
     case IntentOp::kCreate: {
-      hops::Status st = CreateSync(components, rec.client, user);
+      hops::Status st = InsertInodeTx(components, /*is_dir=*/false, rec.client, user);
       // At-least-once replay: a re-applied create finds the inode it made.
       if (st.code() == hops::StatusCode::kAlreadyExists) return hops::Status::Ok();
       return st;
     }
     case IntentOp::kSetPermission:
-      return SetPermissionFileTx(components, rec.perm, user);
+      return SetAttrFileTx(components, rec.perm, std::nullopt, user);
     case IntentOp::kSetOwner:
-      return SetOwnerFileTx(components, rec.owner, rec.group, user);
+      return SetAttrFileTx(components, std::nullopt, std::make_pair(rec.owner, rec.group), user);
   }
   return hops::Status::InvalidArgument("unknown intent op");
 }
@@ -1551,132 +1463,84 @@ hops::Status Namenode::SetPermission(const std::string& path, int64_t perm,
                                      const UserContext& user) {
   HOPS_RETURN_IF_ERROR(CheckAlive());
   HOPS_ASSIGN_OR_RETURN(components, SplitPath(path));
-  if (components.empty()) {
-    return hops::Status::PermissionDenied("the root inode is immutable");
-  }
-  if (UseAsyncCommit()) {
-    const int64_t start = MonotonicMicros();
-    const std::string target = JoinPath(components);
-    // A chmod of an acknowledged-but-unapplied file validates against the
-    // pending entry and rides the log -- no wait, no database trip.
-    if (auto p = intents_->LookupPending(target); p && !p->is_dir) {
-      if (!user.superuser && user.user != p->user) {
-        return hops::Status::PermissionDenied("only the owner may chmod");
-      }
-      IntentRecord rec;
-      rec.op = IntentOp::kSetPermission;
-      rec.path = target;
-      rec.user = user.user;
-      rec.superuser = user.superuser;
-      rec.perm = perm;
-      return SubmitSetattrIntent(std::move(rec), /*is_dir=*/false, p->user, start);
-    }
-    // Committed (or pending-dir) target: GetFileInfo waits out any covering
-    // intent, then a directory quiesces synchronously and a file acks at
-    // intent durability.
-    auto info = GetFileInfo(target, user);
-    if (!info.ok()) return info.status();
-    if (info->is_dir) return SubtreeSetAttr(components, perm, std::nullopt, user);
-    if (!user.superuser && user.user != info->owner) {
-      return hops::Status::PermissionDenied("only the owner may chmod");
-    }
-    IntentRecord rec;
-    rec.op = IntentOp::kSetPermission;
-    rec.path = target;
-    rec.user = user.user;
-    rec.superuser = user.superuser;
-    rec.perm = perm;
-    return SubmitSetattrIntent(std::move(rec), /*is_dir=*/false, info->owner, start);
-  }
-  // Directories take the subtree path (§5: chmod on non-empty directories may
-  // invalidate operations running below; quiesce first).
-  auto info = GetFileInfo(path, user);
-  if (!info.ok()) return info.status();
-  if (info->is_dir) {
-    return SubtreeSetAttr(components, perm, std::nullopt, user);
-  }
-  return SetPermissionFileTx(components, perm, user);
-}
-
-hops::Status Namenode::SetPermissionFileTx(const std::vector<std::string>& components,
-                                           int64_t perm, const UserContext& user) {
-  uint64_t hint_pv = InodePv(static_cast<int>(components.size()), 0, components.back());
-  return RunTx(kv::TxHint{schema_->inodes, hint_pv},
-               [&](kv::Txn& tx) -> hops::Status {
-                 LockSpec spec;
-                 spec.target_mode = kv::LockMode::kExclusive;
-                 HOPS_ASSIGN_OR_RETURN(r, ResolveAndLock(tx, components, spec));
-                 HOPS_RETURN_IF_ERROR(CheckPathTraversal(r, user));
-                 Inode& inode = r.target();
-                 if (!user.superuser && user.user != inode.owner) {
-                   return hops::Status::PermissionDenied("only the owner may chmod");
-                 }
-                 inode.perm = perm;
-                 inode.mtime = NowMicros();
-                 return tx.Update(schema_->inodes, ToRow(inode), r.target_pv());
-               });
+  return SetAttr(components, perm, std::nullopt, user);
 }
 
 hops::Status Namenode::SetOwner(const std::string& path, const std::string& owner,
                                 const std::string& group, const UserContext& user) {
   HOPS_RETURN_IF_ERROR(CheckAlive());
   HOPS_ASSIGN_OR_RETURN(components, SplitPath(path));
-  if (components.empty()) {
-    return hops::Status::PermissionDenied("the root inode is immutable");
-  }
-  if (!user.superuser) return hops::Status::PermissionDenied("chown requires superuser");
-  if (UseAsyncCommit()) {
-    const int64_t start = MonotonicMicros();
-    const std::string target = JoinPath(components);
-    if (auto p = intents_->LookupPending(target); p && !p->is_dir) {
-      IntentRecord rec;
-      rec.op = IntentOp::kSetOwner;
-      rec.path = target;
-      rec.user = user.user;
-      rec.superuser = user.superuser;
-      rec.owner = owner;
-      rec.group = group;
-      // The pending entry records the owner-to-be so a follow-up chmod by
-      // the new owner validates against the acknowledged state.
-      return SubmitSetattrIntent(std::move(rec), /*is_dir=*/false, owner, start);
-    }
-    auto info = GetFileInfo(target, user);
-    if (!info.ok()) return info.status();
-    if (info->is_dir) {
-      return SubtreeSetAttr(components, std::nullopt, std::make_pair(owner, group), user);
-    }
-    IntentRecord rec;
-    rec.op = IntentOp::kSetOwner;
-    rec.path = target;
-    rec.user = user.user;
-    rec.superuser = user.superuser;
-    rec.owner = owner;
-    rec.group = group;
-    return SubmitSetattrIntent(std::move(rec), /*is_dir=*/false, owner, start);
-  }
-  auto info = GetFileInfo(path, user);
-  if (!info.ok()) return info.status();
-  if (info->is_dir) {
-    return SubtreeSetAttr(components, std::nullopt, std::make_pair(owner, group), user);
-  }
-  return SetOwnerFileTx(components, owner, group, user);
+  return SetAttr(components, std::nullopt, std::make_pair(owner, group), user);
 }
 
-hops::Status Namenode::SetOwnerFileTx(const std::vector<std::string>& components,
-                                      const std::string& owner, const std::string& group,
-                                      const UserContext& /*user*/) {
-  uint64_t hint_pv = InodePv(static_cast<int>(components.size()), 0, components.back());
-  return RunTx(kv::TxHint{schema_->inodes, hint_pv},
-               [&](kv::Txn& tx) -> hops::Status {
-                 LockSpec spec;
-                 spec.target_mode = kv::LockMode::kExclusive;
-                 HOPS_ASSIGN_OR_RETURN(r, ResolveAndLock(tx, components, spec));
-                 Inode& inode = r.target();
-                 inode.owner = owner;
-                 inode.group = group;
-                 inode.mtime = NowMicros();
-                 return tx.Update(schema_->inodes, ToRow(inode), r.target_pv());
-               });
+hops::Status Namenode::SetAttr(const std::vector<std::string>& components,
+                               std::optional<int64_t> perm,
+                               std::optional<std::pair<std::string, std::string>> owner,
+                               const UserContext& user) {
+  if (components.empty()) return hops::Status::PermissionDenied("the root inode is immutable");
+  if (owner && !user.superuser) return hops::Status::PermissionDenied("chown requires superuser");
+  const int64_t start = MonotonicMicros();
+  const std::string target = JoinPath(components);
+  // Validate against acknowledged state: a file that exists only as a
+  // pending create is checked against its pending entry (no wait, no
+  // database trip); anything else through a stat, which waits out any
+  // covering intent. Directories take the subtree path (§5: a chmod on a
+  // non-empty directory may invalidate operations running below; quiesce
+  // first) and never commit asynchronously.
+  std::string current_owner;
+  std::optional<IntentLog::PendingInfo> pending;
+  if (UseAsyncCommit()) pending = intents_->LookupPending(target);
+  if (pending && !pending->is_dir) {
+    current_owner = pending->user;
+  } else {
+    auto info = GetFileInfo(target, user);
+    if (!info.ok()) return info.status();
+    if (info->is_dir) return SubtreeSetAttr(components, perm, owner, user);
+    current_owner = info->owner;
+  }
+  if (perm && !user.superuser && user.user != current_owner) {
+    return hops::Status::PermissionDenied("only the owner may chmod");
+  }
+  if (!UseAsyncCommit()) return SetAttrFileTx(components, perm, owner, user);
+  IntentRecord rec;
+  rec.op = owner ? IntentOp::kSetOwner : IntentOp::kSetPermission;
+  rec.path = target;
+  rec.user = user.user;
+  rec.superuser = user.superuser;
+  rec.perm = perm.value_or(0);
+  if (owner) std::tie(rec.owner, rec.group) = *owner;
+  // The pending entry tracks the owner-to-be, so a follow-up chmod by a new
+  // owner validates against the acknowledged state.
+  intents_->ReserveTouch(target, owner ? owner->first : current_owner,
+                         /*owner_changes=*/owner.has_value());
+  HOPS_RETURN_IF_ERROR(intents_->Submit(std::move(rec)));
+  intents_->RecordAck(static_cast<uint64_t>(MonotonicMicros() - start));
+  return hops::Status::Ok();
+}
+
+hops::Status Namenode::SetAttrFileTx(const std::vector<std::string>& components,
+                                     std::optional<int64_t> perm,
+                                     std::optional<std::pair<std::string, std::string>> owner,
+                                     const UserContext& user) {
+  return RunTx(
+      kv::TxHint{schema_->inodes,
+                 InodePv(static_cast<int>(components.size()), 0, components.back())},
+      [&](kv::Txn& tx) -> hops::Status {
+        LockSpec spec;
+        spec.target_mode = kv::LockMode::kExclusive;
+        HOPS_ASSIGN_OR_RETURN(r, ResolveAndLock(tx, components, spec));
+        HOPS_RETURN_IF_ERROR(CheckPathTraversal(r, user));
+        Inode& inode = r.target();
+        if (perm) {
+          if (!user.superuser && user.user != inode.owner) {
+            return hops::Status::PermissionDenied("only the owner may chmod");
+          }
+          inode.perm = *perm;
+        }
+        if (owner) std::tie(inode.owner, inode.group) = *owner;
+        inode.mtime = NowMicros();
+        return tx.Update(schema_->inodes, ToRow(inode), r.target_pv());
+      });
 }
 
 hops::Status Namenode::SetReplication(const std::string& path, int64_t replication,

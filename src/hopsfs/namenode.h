@@ -322,44 +322,52 @@ class Namenode {
       if (pending.valid()) (void)pending.Wait();
     }
   };
-  // --- Asynchronous metadata commits ----------------------------------------
-  // True when this operation should acknowledge at intent durability: async
-  // commits are configured AND the caller is a client, not the intent
-  // applier (whose ops must run the real transactions).
-  bool UseAsyncCommit() const {
-    return intents_ != nullptr && !IntentLog::OnApplierThread();
-  }
+  // --- Metadata ops: validate -> plan -> apply -------------------------------
+  // Create, mkdirs and file setattr each have one validation, one plan (an
+  // IntentRecord) and one apply body. With async commits off the public op
+  // runs its apply body inline, whose locked checks are the validation.
+  // With them on, the op validates against acknowledged state, appends the
+  // plan to the intent log and acknowledges once it is durable; the applier
+  // later runs the same apply body (ApplyIntent).
+  bool UseAsyncCommit() const { return intents_ != nullptr; }
   // Read-your-writes barrier: blocks while an acknowledged-but-unapplied
   // intent covers `path` (equals it, is an ancestor, or lies below it);
   // kUnavailable if it is still covered after FsConfig::intent_wait_timeout.
   hops::Status WaitForPendingIntents(const std::string& path) const {
     return intents_ ? intents_->WaitCovering(path) : hops::Status::Ok();
   }
-  // The synchronous op bodies (the pre-async behavior, and what the applier
-  // executes); public wrappers dispatch here when async commits are off.
-  hops::Status MkdirsSync(const std::vector<std::string>& components,
-                          const UserContext& user);
-  hops::Status CreateSync(const std::vector<std::string>& components,
-                          const std::string& client_name, const UserContext& user);
-  // The single-file setattr transactions (directories go through the
-  // subtree protocol and never commit asynchronously).
-  hops::Status SetPermissionFileTx(const std::vector<std::string>& components, int64_t perm,
-                                   const UserContext& user);
-  hops::Status SetOwnerFileTx(const std::vector<std::string>& components,
-                              const std::string& owner, const std::string& group,
-                              const UserContext& user);
-  // Acknowledge-at-intent-durability paths: validate against pending +
-  // committed state, reserve the path in the pending index, group-commit
-  // the intent, return. The real transaction runs on the applier.
-  hops::Status MkdirsAsync(const std::vector<std::string>& components,
+  // Validates a create (`is_dir` false) or mkdirs of `components` against
+  // acknowledged state -- committed rows merged with the pending-intent
+  // index -- with the statuses and access checks the apply would return.
+  // Returns how many leading levels exist, committed or pending (n - 1 for
+  // a valid create). With nothing pending on the path this is one
+  // hint-batched read-committed resolution; otherwise a per-level walk that
+  // restarts when an apply lands mid-walk.
+  hops::Result<size_t> ValidateAcknowledged(const std::vector<std::string>& components,
+                                            const UserContext& user, bool is_dir);
+  // Apply body of create and of one mkdir level: one Figure-4 transaction
+  // inserting the inode (plus a file's lease) under an X-locked parent.
+  // An existing directory is Ok for a mkdir; a create reports IsDirectory
+  // or AlreadyExists.
+  hops::Status InsertInodeTx(const std::vector<std::string>& components, bool is_dir,
+                             const std::string& client_name, const UserContext& user);
+  // Apply body of mkdirs: InsertInodeTx level by level, top-down.
+  hops::Status ApplyMkdirs(const std::vector<std::string>& components,
                            const UserContext& user);
-  hops::Status CreateAsync(const std::vector<std::string>& components,
-                           const std::string& client_name, const UserContext& user);
-  hops::Status SubmitSetattrIntent(IntentRecord rec, bool is_dir, const std::string& owner,
-                                   int64_t start_micros);
-  // Applier callback: routes one intent to its synchronous op body under an
-  // ApplierScope. At-least-once replay is idempotent (a re-applied create
-  // maps AlreadyExists to applied).
+  // chmod (`perm`) / chown (`owner` = owner, group) of one path: validates,
+  // routes a directory to SubtreeSetAttr, and applies or appends a file's.
+  hops::Status SetAttr(const std::vector<std::string>& components,
+                       std::optional<int64_t> perm,
+                       std::optional<std::pair<std::string, std::string>> owner,
+                       const UserContext& user);
+  // Apply body of a file setattr: one transaction on the X-locked inode.
+  hops::Status SetAttrFileTx(const std::vector<std::string>& components,
+                             std::optional<int64_t> perm,
+                             std::optional<std::pair<std::string, std::string>> owner,
+                             const UserContext& user);
+  // Applier callback: runs one intent's apply body under an ApplierScope.
+  // At-least-once replay is idempotent (a re-applied create maps
+  // AlreadyExists to applied).
   hops::Status ApplyIntent(const IntentRecord& rec);
   // Replays dead namenodes' durable intents in (publisher, seq) order and
   // deletes the consumed rows (head rows are left so a falsely-declared-dead

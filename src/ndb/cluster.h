@@ -40,7 +40,6 @@ struct ClusterConfig {
   uint32_t replication = 2;          // NDB default (NoOfReplicas)
   uint32_t partitions_per_table = 0; // 0 => 2 * num_datanodes
   std::chrono::milliseconds lock_wait_timeout{1200};  // paper §7.6.2 default
-  uint32_t threads_per_datanode = 22;  // §7.1; consumed by the simulator
   // Prepared-but-unflushed batches a transaction may hold (NDB's
   // executeAsynchPrepare window). Preparing one more forces a flush of the
   // whole window, so a transaction never exceeds this many in flight.

@@ -1,6 +1,6 @@
 // Calibration constants for the cluster models.
 //
-// Sources and derivations (see also EXPERIMENTS.md):
+// Sources and derivations (each constant's derivation is given inline):
 //  * Topology mirrors §7.1: NDB datanodes run 22 threads each; namenode
 //    hosts are dual E5-2620v3 (24 hardware threads).
 //  * hdfs_write_lock_hold_us: the active namenode's exclusive section per

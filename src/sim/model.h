@@ -1,8 +1,8 @@
 // Cluster models: HopsFS (stateless namenodes + NDB node stations, driven by
 // measured database-access traces) and HDFS (global readers-writer lock +
 // serial dispatch + quorum journal). Used by every throughput/latency
-// figure benchmark; see DESIGN.md §2 for why simulation substitutes for the
-// paper's 72-machine testbed and calibration.h for the constants.
+// figure benchmark. Simulation substitutes for the paper's 72-machine testbed,
+// which one process cannot host; calibration.h holds the constants.
 #pragma once
 
 #include <map>

@@ -10,8 +10,10 @@
 #include <atomic>
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "hopsfs/mini_cluster.h"
@@ -312,6 +314,151 @@ TEST_F(IntentLogTest, CrashReplayLosesNoAcknowledgedOp) {
   auto expected = Fingerprint(onn, "/crash");
   EXPECT_EQ(replayed, expected);
   EXPECT_FALSE(replayed.empty());
+}
+
+// Status parity across commit modes: one script of mkdirs/create/chmod/chown
+// calls returns the same status, row by row, whether it runs synchronously,
+// asynchronously with the applier draining, or asynchronously with every
+// op still pending (validated against the pending index alone), and all
+// three leave the same namespace behind.
+TEST(IntentParityTest, StatusesMatchTheSyncPathRowByRow) {
+  enum class Op { kMkdirs, kCreate, kChmod, kChown };
+  struct Step {
+    Op op;
+    std::string path;
+    std::string user;  // "hdfs" is the superuser
+    int64_t perm = 0;
+    std::string owner = {};
+  };
+  using hops::StatusCode;
+  // Committed in every leg before the script starts.
+  const std::vector<Step> setup = {
+      {Op::kMkdirs, "/p", "hdfs"},          {Op::kCreate, "/p/file", "hdfs"},
+      {Op::kMkdirs, "/p/locked", "hdfs"},   {Op::kChmod, "/p/locked", "hdfs", 0700},
+      {Op::kMkdirs, "/p/ro", "hdfs"},       {Op::kChmod, "/p/ro", "hdfs", 0555},
+      {Op::kMkdirs, "/p/open", "hdfs"},     {Op::kChmod, "/p/open", "hdfs", 0777},
+      {Op::kMkdirs, "/p/wx", "hdfs"},       {Op::kChmod, "/p/wx", "hdfs", 0722},
+  };
+  const std::vector<std::pair<Step, StatusCode>> script = {
+      {{Op::kCreate, "/p/file/x", "hdfs"}, StatusCode::kNotDirectory},
+      {{Op::kMkdirs, "/p/file/y", "hdfs"}, StatusCode::kNotDirectory},
+      {{Op::kCreate, "/p/newf", "hdfs"}, StatusCode::kOk},
+      {{Op::kCreate, "/p/newf/x", "hdfs"}, StatusCode::kNotDirectory},
+      {{Op::kMkdirs, "/p/newf/y", "hdfs"}, StatusCode::kNotDirectory},
+      {{Op::kCreate, "/p", "hdfs"}, StatusCode::kIsDirectory},
+      {{Op::kMkdirs, "/p/nd", "hdfs"}, StatusCode::kOk},
+      {{Op::kCreate, "/p/nd", "hdfs"}, StatusCode::kIsDirectory},
+      {{Op::kCreate, "/p/file", "hdfs"}, StatusCode::kAlreadyExists},
+      {{Op::kCreate, "/p/newf", "hdfs"}, StatusCode::kAlreadyExists},
+      {{Op::kCreate, "/q/x", "hdfs"}, StatusCode::kNotFound},
+      {{Op::kMkdirs, "/p/a/b", "hdfs"}, StatusCode::kOk},
+      {{Op::kCreate, "/p/a/missing/leaf", "hdfs"}, StatusCode::kNotFound},
+      {{Op::kCreate, "/p/a/b/leaf", "hdfs"}, StatusCode::kOk},
+      {{Op::kMkdirs, "/p/a/b", "hdfs"}, StatusCode::kOk},
+      {{Op::kMkdirs, "/p", "hdfs"}, StatusCode::kOk},
+      {{Op::kChmod, "/p/file", "bob", 0600}, StatusCode::kPermissionDenied},
+      {{Op::kChown, "/p/file", "bob", 0, "bob"}, StatusCode::kPermissionDenied},
+      {{Op::kCreate, "/p/ro/x", "bob"}, StatusCode::kPermissionDenied},
+      {{Op::kMkdirs, "/p/ro/y", "bob"}, StatusCode::kPermissionDenied},
+      {{Op::kCreate, "/p/locked/x", "bob"}, StatusCode::kPermissionDenied},
+      {{Op::kMkdirs, "/p/locked/y/z", "bob"}, StatusCode::kPermissionDenied},
+      // Write but no exec on /p/wx: the missing level's parent must be
+      // traversable, as the sync mkdirs of /p/wx/a checks.
+      {{Op::kMkdirs, "/p/wx/a/b", "bob"}, StatusCode::kPermissionDenied},
+      // /p/nd is hdfs's (pending) directory: no write bit for bob.
+      {{Op::kCreate, "/p/nd/bf", "bob"}, StatusCode::kPermissionDenied},
+      {{Op::kMkdirs, "/p/nd/bd", "bob"}, StatusCode::kPermissionDenied},
+      {{Op::kMkdirs, "/p/open/bd", "bob"}, StatusCode::kOk},
+      {{Op::kCreate, "/p/open/bd/f", "bob"}, StatusCode::kOk},
+      {{Op::kCreate, "/p/open/bobf", "bob"}, StatusCode::kOk},
+      {{Op::kChmod, "/p/open/bobf", "bob", 0600}, StatusCode::kOk},
+      {{Op::kChmod, "/p/newf", "bob", 0600}, StatusCode::kPermissionDenied},
+      {{Op::kChown, "/p/newf", "hdfs", 0, "alice"}, StatusCode::kOk},
+      {{Op::kChmod, "/p/newf", "alice", 0640}, StatusCode::kOk},
+  };
+  struct Entry {
+    std::string path;
+    bool is_dir;
+    int64_t perm;
+    std::string owner;
+    bool operator==(const Entry& o) const {
+      return std::tie(path, is_dir, perm, owner) == std::tie(o.path, o.is_dir, o.perm, o.owner);
+    }
+  };
+  struct Leg {
+    std::vector<std::string_view> codes;  // StatusCodeName per script row
+    std::vector<Entry> tree;
+  };
+  auto run_leg = [&](bool async, bool paused) {
+    MiniClusterOptions options;
+    options.db.num_datanodes = 4;
+    options.db.replication = 2;
+    options.fs.async_metadata_commit = async;
+    // A stray covering wait in the paused leg fails fast instead of hanging.
+    options.fs.intent_wait_timeout = std::chrono::milliseconds(2000);
+    options.num_namenodes = 1;
+    auto cluster = MiniCluster::Start(options);
+    EXPECT_TRUE(cluster.ok()) << cluster.status().ToString();
+    Leg leg;
+    if (!cluster.ok()) return leg;
+    Namenode& nn = (*cluster)->namenode(0);
+    auto apply = [&](const Step& s) {
+      UserContext user{s.user, s.user == "hdfs"};
+      switch (s.op) {
+        case Op::kMkdirs:
+          return nn.Mkdirs(s.path, user);
+        case Op::kCreate:
+          return nn.Create(s.path, "client", user);
+        case Op::kChmod:
+          return nn.SetPermission(s.path, s.perm, user);
+        case Op::kChown:
+          return nn.SetOwner(s.path, s.owner, "users", user);
+      }
+      return hops::Status::InvalidArgument("unknown op");
+    };
+    for (const Step& s : setup) EXPECT_TRUE(apply(s).ok()) << s.path;
+    nn.FlushIntents();
+    nn.SetIntentApplierPausedForTesting(paused);
+    for (const auto& row : script) {
+      leg.codes.push_back(hops::StatusCodeName(apply(row.first).code()));
+    }
+    nn.SetIntentApplierPausedForTesting(false);
+    nn.FlushIntents();
+    EXPECT_EQ(nn.intent_stats().apply_failures, 0u);
+    std::vector<std::string> dirs = {"/p"};
+    while (!dirs.empty()) {
+      std::string dir = dirs.back();
+      dirs.pop_back();
+      auto listing = nn.ListStatus(dir);
+      EXPECT_TRUE(listing.ok()) << dir << ": " << listing.status().ToString();
+      if (!listing.ok()) continue;
+      for (const auto& st : *listing) {
+        leg.tree.push_back({dir + "/" + st.name, st.is_dir, st.perm, st.owner});
+        if (st.is_dir) dirs.push_back(dir + "/" + st.name);
+      }
+    }
+    std::sort(leg.tree.begin(), leg.tree.end(),
+              [](const Entry& a, const Entry& b) { return a.path < b.path; });
+    return leg;
+  };
+
+  const Leg sync = run_leg(/*async=*/false, /*paused=*/false);
+  ASSERT_EQ(sync.codes.size(), script.size());
+  for (size_t i = 0; i < script.size(); ++i) {
+    EXPECT_EQ(sync.codes[i], hops::StatusCodeName(script[i].second))
+        << "sync row " << i << ": " << script[i].first.path;
+  }
+  for (bool paused : {false, true}) {
+    const Leg async = run_leg(/*async=*/true, paused);
+    const char* name = paused ? "async, applier paused" : "async, applier running";
+    ASSERT_EQ(async.codes.size(), script.size()) << name;
+    for (size_t i = 0; i < script.size(); ++i) {
+      EXPECT_EQ(async.codes[i], sync.codes[i])
+          << name << " row " << i << ": " << script[i].first.path;
+    }
+    EXPECT_TRUE(async.tree == sync.tree) << name << ": namespaces differ after the drain";
+    EXPECT_FALSE(async.tree.empty()) << name;
+  }
 }
 
 TEST_F(IntentLogTest, SyncModeNeverTouchesTheLog) {
