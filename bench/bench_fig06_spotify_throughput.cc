@@ -7,9 +7,9 @@
 // still beats HDFS; HDFS is flat regardless of offered load.
 //
 // Also runs the inode hint-cache ablation (§5.1): the same closed loop on a
-// real MiniCluster with (a) the trie cache and lazy repair-on-miss, and
+// real MiniCluster with (a) the primary-key cache and lazy repair-on-miss, and
 // (b) the cache disabled -- reporting throughput, database round trips per
-// op, and the cache counters.
+// op, and the hit rate.
 #include <cstdlib>
 
 #include "bench_common.h"
@@ -24,8 +24,7 @@ void RunHintCacheAblation(const hops::wl::OpMix& mix, hops::bench::BenchJson& js
   const int64_t ops_per_thread = full ? 2500 : 500;
 
   std::printf("\n# hint-cache ablation (real 3-NN MiniCluster, closed loop)\n");
-  std::printf("%-10s %10s %12s %9s %12s %12s\n", "cache", "ops/sec", "trips/op", "hit-rate",
-              "invalidated", "stale-puts");
+  std::printf("%-10s %10s %12s %9s\n", "cache", "ops/sec", "trips/op", "hit-rate");
 
   struct Cfg {
     const char* label;
@@ -61,14 +60,12 @@ void RunHintCacheAblation(const hops::wl::OpMix& mix, hops::bench::BenchJson& js
 
     auto db = cluster->db().StatsSnapshot();
     const auto& hint = *report.hint_stats;
-    std::printf("%-10s %10.0f %12.2f %8.1f%% %12llu %12llu\n", cfg.label,
+    std::printf("%-10s %10.0f %12.2f %8.1f%%\n", cfg.label,
                 report.ops_per_second,
                 report.ops > 0 ? static_cast<double>(db.round_trips) /
                                      static_cast<double>(report.ops)
                                : 0.0,
-                100.0 * hint.HitRate(),
-                static_cast<unsigned long long>(hint.cache.entries_invalidated),
-                static_cast<unsigned long long>(hint.cache.stale_put_rejections));
+                100.0 * hint.HitRate());
     std::fflush(stdout);
     std::string prefix = std::string("ablation_") + cfg.label + "_";
     json.Metric(prefix + "ops_per_sec", report.ops_per_second);

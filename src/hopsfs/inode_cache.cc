@@ -1,380 +1,95 @@
 #include "hopsfs/inode_cache.h"
 
-#include <algorithm>
-
-#include "hopsfs/path.h"
-#include "util/clock.h"
+#include <functional>
 
 namespace hops::fs {
 
-namespace {
-// A barrier only needs to outlive in-flight resolutions (one transaction,
-// retries included -- milliseconds to at most a second or two). Far beyond
-// that it may be reclaimed; see Node::barrier_epoch.
-constexpr int64_t kBarrierTtlMicros = 30LL * 1000 * 1000;
-}  // namespace
-
-InodeHintCache::InodeHintCache(size_t capacity) : capacity_(capacity) {}
-
-InodeHintCache::~InodeHintCache() = default;
-
-// --- LRU primitives ----------------------------------------------------------
-
-void InodeHintCache::LruLinkFront(Node* n) const {
-  n->lru_prev = nullptr;
-  n->lru_next = lru_head_;
-  if (lru_head_ != nullptr) lru_head_->lru_prev = n;
-  lru_head_ = n;
-  if (lru_tail_ == nullptr) lru_tail_ = n;
-  n->in_lru = true;
+size_t InodeHintCache::KeyHash::operator()(KeyRef k) const noexcept {
+  const size_t h = std::hash<std::string_view>{}(k.name);
+  return h ^ (static_cast<size_t>(k.parent_id) * 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
 }
 
-void InodeHintCache::LruUnlink(Node* n) const {
-  if (n->lru_prev != nullptr) n->lru_prev->lru_next = n->lru_next;
-  if (n->lru_next != nullptr) n->lru_next->lru_prev = n->lru_prev;
-  if (lru_head_ == n) lru_head_ = n->lru_next;
-  if (lru_tail_ == n) lru_tail_ = n->lru_prev;
-  n->lru_prev = n->lru_next = nullptr;
-  n->in_lru = false;
-}
-
-void InodeHintCache::LruMoveFront(Node* n) const {
-  if (lru_head_ == n) return;
-  LruUnlink(n);
-  LruLinkFront(n);
-}
-
-// A node is dead iff it hangs off a detached subtree root. Detached roots
-// have their parent pointer cut, so the walk terminates at either the trie
-// root (live) or a detached root (dead) in O(depth).
-bool InodeHintCache::IsDead(const Node* n) {
-  for (; n != nullptr; n = n->parent) {
-    if (n->detached) return true;
+std::vector<InodeHintCache::Hint> InodeHintCache::Walk(
+    const std::vector<std::string>& components, bool refresh) const {
+  std::vector<Hint> hints;
+  InodeId parent = kRootInode;
+  for (const std::string& name : components) {
+    auto it = map_.find(KeyRef{parent, name});
+    if (it == map_.end()) break;
+    if (refresh) lru_.splice(lru_.begin(), lru_, it->second.lru);
+    hints.push_back(it->second.hint);
+    parent = it->second.hint.inode_id;
   }
-  return false;
+  return hints;
 }
 
-void InodeHintCache::UnlinkDead(Node* n) {
-  Node* dead_root = n;
-  while (!dead_root->detached) dead_root = dead_root->parent;
-  LruUnlink(n);
-  dead_in_lru_--;
-  if (--dead_root->dead_pending == 0) ReleaseGraveyard(dead_root);
-}
-
-void InodeHintCache::ReleaseGraveyard(Node* dead_root) {
-  size_t i = dead_root->graveyard_index;
-  if (i + 1 != graveyard_.size()) {
-    std::swap(graveyard_[i], graveyard_.back());
-    graveyard_[i]->graveyard_index = i;
-  }
-  graveyard_.pop_back();  // destroys the subtree; no LRU links remain in it
-}
-
-// --- Lookup ------------------------------------------------------------------
-
-const InodeHintCache::Node* InodeHintCache::WalkPrefix(
-    const std::vector<std::string>& components, std::vector<Hint>* hints) const {
-  const Node* n = &root_;
-  for (const std::string& comp : components) {
-    auto it = n->children.find(comp);
-    if (it == n->children.end() || !it->second->has_hint) break;
-    n = it->second.get();
-    hints->push_back(n->hint);
-  }
-  return n;
-}
-
-InodeHintCache::Chain InodeHintCache::LookupChain(
+std::vector<InodeHintCache::Hint> InodeHintCache::LookupChain(
     const std::vector<std::string>& components) const {
-  Chain out;
-  out.epoch = epoch();
-  if (capacity_ == 0) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return out;
-  }
   std::lock_guard<std::mutex> lock(mu_);
-  out.epoch = epoch_.load(std::memory_order_acquire);
-  Node* n = &root_;
-  for (const std::string& comp : components) {
-    auto it = n->children.find(comp);
-    if (it == n->children.end() || !it->second->has_hint) break;
-    n = it->second.get();
-    LruMoveFront(n);
-    out.hints.push_back(n->hint);
-  }
-  if (out.hints.size() == components.size() && !components.empty()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+  std::vector<Hint> hints = Walk(components, /*refresh=*/true);
+  if (!components.empty() && hints.size() == components.size()) {
+    stats_.hits++;
   } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    stats_.misses++;
   }
-  return out;
+  return hints;
 }
 
-InodeHintCache::Chain InodeHintCache::PeekChain(
+std::vector<InodeHintCache::Hint> InodeHintCache::PeekChain(
     const std::vector<std::string>& components) const {
-  Chain out;
-  out.epoch = epoch();
-  if (capacity_ == 0) return out;
   std::lock_guard<std::mutex> lock(mu_);
-  out.epoch = epoch_.load(std::memory_order_acquire);
-  WalkPrefix(components, &out.hints);
-  return out;
+  return Walk(components, /*refresh=*/false);
 }
 
-// --- Put ---------------------------------------------------------------------
-
-void InodeHintCache::Put(const std::vector<std::string>& components, size_t depth_index,
-                         InodeId parent_id, InodeId inode_id, uint64_t epoch,
+void InodeHintCache::Put(InodeId parent_id, std::string_view name, InodeId inode_id,
                          std::optional<bool> is_dir) {
-  if (capacity_ == 0 || components.empty()) return;
+  if (capacity_ == 0) return;
+  Hint fresh{inode_id, is_dir.value_or(false), is_dir.has_value()};
   std::lock_guard<std::mutex> lock(mu_);
-  if (root_.barrier_epoch > epoch) {
-    stale_put_rejections_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  Node* n = &root_;
-  for (size_t i = 0; i <= depth_index && i < components.size(); ++i) {
-    std::unique_ptr<Node>& slot = n->children[components[i]];
-    if (slot == nullptr) {
-      slot = std::make_unique<Node>();
-      slot->name = components[i];
-      slot->parent = n;
-    }
-    n = slot.get();
-    // A barrier anywhere on the path covers the whole subtree below it: the
-    // resolution that produced this hint may have read pre-invalidation
-    // state for any component at or above the barrier.
-    if (n->barrier_epoch > epoch) {
-      stale_put_rejections_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-  }
-  if (n == &root_) return;
-  Hint fresh{parent_id, inode_id, is_dir.value_or(false), is_dir.has_value()};
-  if (n->has_hint) {
-    // A refresh that does not know the kind keeps a previously known one
-    // (the ids must still match for the kind to be about the same inode).
-    if (!fresh.is_dir_known && n->hint.is_dir_known && n->hint.inode_id == inode_id) {
-      fresh.is_dir = n->hint.is_dir;
+  auto it = map_.find(KeyRef{parent_id, name});
+  if (it != map_.end()) {
+    Hint& old = it->second.hint;
+    if (!fresh.is_dir_known && old.is_dir_known && old.inode_id == inode_id) {
+      fresh.is_dir = old.is_dir;
       fresh.is_dir_known = true;
     }
-    n->hint = fresh;
-    LruMoveFront(n);
+    old = fresh;
+    lru_.splice(lru_.begin(), lru_, it->second.lru);
     return;
   }
-  n->hint = fresh;
-  n->has_hint = true;
-  LruLinkFront(n);
-  for (Node* a = n; a != nullptr; a = a->parent) a->subtree_hints++;
-  size_++;
-  EvictIfNeeded();
-  SweepDeadIfNeeded();
+  it = map_.emplace(Key{parent_id, std::string(name)}, Entry{fresh, {}}).first;
+  lru_.push_front(&it->first);
+  it->second.lru = lru_.begin();
+  if (map_.size() > capacity_) {
+    map_.erase(map_.find(*lru_.back()));
+    lru_.pop_back();
+    stats_.evictions++;
+  }
 }
 
-// --- Invalidation ------------------------------------------------------------
-
-uint64_t InodeHintCache::InvalidatePrefix(const std::string& path_prefix) {
-  if (capacity_ == 0) return epoch();
-  auto split = SplitPath(path_prefix);
-  if (!split.ok()) {
-    // Malformed prefix: over-invalidate rather than risk a stale hint.
-    Clear();
-    return epoch();
-  }
-  const std::vector<std::string>& components = *split;
+void InodeHintCache::Erase(InodeId parent_id, std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t barrier = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  invalidations_.fetch_add(1, std::memory_order_relaxed);
-  size_t visited = 1;
-
-  if (components.empty()) {  // "/": everything goes
-    int64_t live = root_.subtree_hints;
-    if (live > 0) {
-      entries_invalidated_.fetch_add(static_cast<uint64_t>(live),
-                                     std::memory_order_relaxed);
-    }
-    for (auto& [name, child] : root_.children) {
-      if (child->subtree_hints == 0) continue;  // skeleton only, free eagerly
-      child->detached = true;
-      child->parent = nullptr;
-      child->dead_pending = child->subtree_hints;
-      child->graveyard_index = graveyard_.size();
-      graveyard_.push_back(std::move(child));
-    }
-    root_.children.clear();
-    root_.subtree_hints = 0;
-    size_ = 0;
-    dead_in_lru_ += static_cast<size_t>(live);
-    root_.barrier_epoch = barrier;
-    root_.barrier_stamp = NowMicros();
-    last_invalidate_visited_ = visited;
-    SweepDeadIfNeeded();
-    return barrier;
-  }
-
-  // Walk (creating skeleton where absent -- the barrier must exist even for
-  // prefixes with nothing cached, or an in-flight resolution could plant a
-  // dead hint right after us) to the prefix node's parent.
-  Node* parent = &root_;
-  for (size_t i = 0; i + 1 < components.size(); ++i) {
-    std::unique_ptr<Node>& slot = parent->children[components[i]];
-    if (slot == nullptr) {
-      slot = std::make_unique<Node>();
-      slot->name = components[i];
-      slot->parent = parent;
-    }
-    parent = slot.get();
-    visited++;
-  }
-
-  // Detach the prefix subtree (one edge) and plant a fresh barrier node in
-  // its place. The detached entries stay on the LRU list until eviction or
-  // the sweep unlinks them; size_ drops now so capacity sees only live data.
-  auto fresh = std::make_unique<Node>();
-  fresh->name = components.back();
-  fresh->parent = parent;
-  fresh->barrier_epoch = barrier;
-  fresh->barrier_stamp = NowMicros();
-  barriers_planted_++;
-  auto it = parent->children.find(components.back());
-  visited++;
-  if (it != parent->children.end()) {
-    Node* old = it->second.get();
-    const int64_t live = old->subtree_hints;
-    if (live > 0) {
-      size_ -= static_cast<size_t>(live);
-      dead_in_lru_ += static_cast<size_t>(live);
-      entries_invalidated_.fetch_add(static_cast<uint64_t>(live),
-                                     std::memory_order_relaxed);
-      for (Node* a = parent; a != nullptr; a = a->parent) a->subtree_hints -= live;
-    }
-    std::unique_ptr<Node> detached = std::move(it->second);
-    it->second = std::move(fresh);
-    if (live > 0) {
-      detached->detached = true;
-      detached->parent = nullptr;
-      detached->dead_pending = live;
-      detached->graveyard_index = graveyard_.size();
-      graveyard_.push_back(std::move(detached));
-    }
-    // live == 0: skeleton-only subtree, no LRU links inside; freed here.
-  } else {
-    parent->children.emplace(components.back(), std::move(fresh));
-  }
-  last_invalidate_visited_ = visited;
-  SweepDeadIfNeeded();
-  PruneTrieIfNeeded();
-  return barrier;
+  auto it = map_.find(KeyRef{parent_id, name});
+  if (it == map_.end()) return;
+  lru_.erase(it->second.lru);
+  map_.erase(it);
+  stats_.invalidations++;
 }
 
 void InodeHintCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t barrier = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  root_.children.clear();
-  root_.subtree_hints = 0;
-  root_.barrier_epoch = barrier;
-  root_.barrier_stamp = NowMicros();
-  graveyard_.clear();
-  lru_head_ = lru_tail_ = nullptr;
-  size_ = 0;
-  dead_in_lru_ = 0;
-  barriers_planted_ = 0;
+  map_.clear();
+  lru_.clear();
 }
-
-// --- Capacity & lazy reclaim -------------------------------------------------
-
-void InodeHintCache::EvictIfNeeded() {
-  while (size_ > capacity_ && lru_tail_ != nullptr) {
-    Node* victim = lru_tail_;
-    if (IsDead(victim)) {
-      UnlinkDead(victim);
-      continue;
-    }
-    LruUnlink(victim);
-    victim->has_hint = false;
-    for (Node* a = victim; a != nullptr; a = a->parent) a->subtree_hints--;
-    size_--;
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    // Prune the now-empty skeleton chain upward (barrier nodes stay: they
-    // still guard in-flight puts).
-    Node* n = victim;
-    while (n != &root_ && !n->has_hint && n->children.empty() &&
-           n->barrier_epoch == 0) {
-      Node* parent = n->parent;
-      parent->children.erase(n->name);
-      n = parent;
-    }
-  }
-}
-
-void InodeHintCache::SweepDeadIfNeeded() {
-  // Amortized O(1) per invalidated entry: a sweep costs O(live + dead) and
-  // only triggers once dead outweighs live, so each dead entry pays O(1).
-  if (dead_in_lru_ <= std::max<size_t>(64, size_)) return;
-  Node* n = lru_head_;
-  while (n != nullptr) {
-    Node* next = n->lru_next;
-    if (IsDead(n)) UnlinkDead(n);
-    n = next;
-  }
-}
-
-void InodeHintCache::PruneTrieIfNeeded() {
-  // Barrier and skeleton nodes live outside the size_/capacity_ accounting,
-  // so this amortized prune (one trie walk per ~threshold barrier plants)
-  // is what bounds them: expired barriers are cleared and hintless,
-  // childless chains freed. Clearing a 30s-old barrier is safe in the only
-  // way that matters -- a put that stale would plant a hint the next miss
-  // repairs, exactly like any other lazily-healed staleness.
-  if (barriers_planted_ <= std::max<size_t>(1024, capacity_ / 16)) return;
-  barriers_planted_ = 0;
-  PruneNode(&root_, NowMicros() - kBarrierTtlMicros);
-}
-
-bool InodeHintCache::PruneNode(Node* n, int64_t barrier_cutoff) {
-  for (auto it = n->children.begin(); it != n->children.end();) {
-    it = PruneNode(it->second.get(), barrier_cutoff) ? n->children.erase(it)
-                                                     : std::next(it);
-  }
-  if (n->barrier_epoch != 0 && n->barrier_stamp < barrier_cutoff) {
-    n->barrier_epoch = 0;
-  }
-  return n != &root_ && !n->in_lru && !n->has_hint && n->children.empty() &&
-         n->barrier_epoch == 0;
-}
-
-// --- Introspection -----------------------------------------------------------
 
 InodeHintCache::Stats InodeHintCache::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.invalidations = invalidations_.load(std::memory_order_relaxed);
-  s.entries_invalidated = entries_invalidated_.load(std::memory_order_relaxed);
-  s.stale_put_rejections = stale_put_rejections_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 size_t InodeHintCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return size_;
-}
-
-size_t InodeHintCache::last_invalidate_visited() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_invalidate_visited_;
-}
-
-size_t InodeHintCache::dead_in_lru() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dead_in_lru_;
-}
-
-size_t InodeHintCache::graveyard_size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return graveyard_.size();
+  return map_.size();
 }
 
 }  // namespace hops::fs

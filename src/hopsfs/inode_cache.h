@@ -1,32 +1,27 @@
-// The inode hint cache (paper §5.1), trie-backed.
+// The inode hint cache (paper §5.1).
 //
-// Each namenode caches the primary keys of path components:
-// path prefix -> (parent inode id, inode id). Given a full hit, a path of
-// depth N resolves with a single batched primary-key read instead of N
-// round trips. Entries go stale on moves (< 2% of a typical workload); a
-// stale hint makes the batched read miss and the namenode falls back to
-// recursive resolution, repairing the cache.
+// Each namenode caches inode primary keys: (parent inode id, name) ->
+// inode id. A path resolves by following ids from the root, one map lookup
+// per component; given a full chain, a path of depth N resolves with a
+// single batched primary-key read instead of N round trips.
 //
-// Layout: a path trie (one node per path component) whose hint-bearing
-// nodes are threaded onto an intrusive LRU list. `InvalidatePrefix` -- the
-// rename/delete path -- detaches ONE subtree edge in O(depth) and parks the
-// detached subtree in a graveyard instead of scanning the whole cache under
-// the mutex; the subtree's LRU entries are reclaimed lazily (amortized O(1)
-// per invalidated entry) by eviction and a threshold-triggered sweep.
-//
-// Epochs: every invalidation bumps the cache epoch and plants a barrier on
-// the (fresh) prefix node. A `Put` must carry the epoch snapshotted when its
-// resolution *started*; if any node on the put path carries a newer barrier,
-// the put is rejected -- an in-flight resolution that read pre-rename state
-// can therefore never re-insert a dead hint after the invalidation ran.
+// Entries are only hints. The batched read verifies each row's parent id
+// against the previous row's id, so a stale hint costs one fallback to
+// recursive resolution (which repairs the cache) and never a wrong answer.
+// Because a key names its parent by id and a move keeps the inode's id, a
+// rename or delete stales exactly one entry: the moved or deleted inode's
+// own. The descendants of a renamed directory stay valid, so invalidation
+// is a single erase. Peer namenodes' entries repair lazily on their next
+// miss; nothing orders a Put against a concurrent Erase, since a Put that
+// raced one is just another stale hint.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -37,22 +32,13 @@ namespace hops::fs {
 class InodeHintCache {
  public:
   struct Hint {
-    InodeId parent_id = kInvalidInode;
     InodeId inode_id = kInvalidInode;
     // Cached inode kind, when the producing resolution knew it. A known
     // directory lets a warm stat skip staging the file-only fan-out rider
-    // it would always discard; `is_dir_known == false` (hints from older
-    // producers or probes) keeps the speculative behavior.
+    // it would always discard; `is_dir_known == false` (hints from
+    // producers that did not read the row) keeps the speculative behavior.
     bool is_dir = false;
     bool is_dir_known = false;
-  };
-
-  // A chain lookup result: hints for components[0..k) plus the epoch the
-  // chain was read at (to be passed back into Put by the resolution that
-  // consumed it).
-  struct Chain {
-    std::vector<Hint> hints;
-    uint64_t epoch = 0;
   };
 
   // Aggregate counters (all monotonic).
@@ -60,130 +46,79 @@ class InodeHintCache {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
-    uint64_t invalidations = 0;         // InvalidatePrefix calls
-    uint64_t entries_invalidated = 0;   // live hints detached by them
-    uint64_t stale_put_rejections = 0;  // puts rejected by an epoch barrier
+    uint64_t invalidations = 0;  // Erase calls that removed an entry
+    // Always 0: no Put is ever rejected. Kept only because bench/hopsbench
+    // still reads it (inode_cache.stale_put_rejections).
+    uint64_t stale_put_rejections = 0;
   };
 
   // capacity 0 disables caching entirely (ablation).
-  explicit InodeHintCache(size_t capacity);
-  ~InodeHintCache();
+  explicit InodeHintCache(size_t capacity) : capacity_(capacity) {}
 
   InodeHintCache(const InodeHintCache&) = delete;
   InodeHintCache& operator=(const InodeHintCache&) = delete;
 
   // Returns hints for components[0..k) for the longest cached chain k,
-  // starting at the root, refreshing recency and counting hit/miss stats.
-  // hints[i] corresponds to path prefix /components[0]/../components[i].
-  Chain LookupChain(const std::vector<std::string>& components) const;
+  // starting at the root, refreshing recency and counting a hit (full
+  // chain) or a miss. hints[i] is the inode of /components[0]/../components[i].
+  std::vector<Hint> LookupChain(const std::vector<std::string>& components) const;
 
   // Like LookupChain but side-effect free: no recency refresh, no hit/miss
   // accounting. For speculative probes whose resolution performs its own
   // counted lookup (e.g. the getBlockLocations fan-out rider).
-  Chain PeekChain(const std::vector<std::string>& components) const;
+  std::vector<Hint> PeekChain(const std::vector<std::string>& components) const;
 
-  // Records that the prefix ending at components[depth_index] resolves to
-  // `inode_id` under `parent_id`. `epoch` must be the cache epoch observed
-  // when the resolution producing this hint began (LookupChain's epoch, or
-  // epoch() for resolutions that skipped the lookup); the put is dropped if
-  // the prefix was invalidated since. `is_dir` records the inode kind when
-  // the producer knows it (nullopt leaves the kind unknown).
-  void Put(const std::vector<std::string>& components, size_t depth_index,
-           InodeId parent_id, InodeId inode_id, uint64_t epoch,
+  // Records that `name` under `parent_id` is `inode_id`. `is_dir` records
+  // the inode kind when the producer knows it; a refresh that does not know
+  // it keeps a known kind for the same inode id.
+  void Put(InodeId parent_id, std::string_view name, InodeId inode_id,
            std::optional<bool> is_dir = std::nullopt);
 
-  // Drops every cached entry at/under `path_prefix` (move/delete
-  // invalidation): O(depth) subtree detach + barrier, no cache scan.
-  // Returns the planted barrier's epoch: a resolution that itself proved
-  // the prefix dead (under lock) may continue Putting with that value --
-  // its own barrier admits it while any later invalidation still rejects.
-  uint64_t InvalidatePrefix(const std::string& path_prefix);
+  // Drops the entry for `name` under `parent_id` (move/delete invalidation).
+  void Erase(InodeId parent_id, std::string_view name);
 
   void Clear();
 
-  // Current epoch; snapshot BEFORE the database reads that will feed a Put.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-
   Stats stats() const;
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   size_t size() const;
 
-  // --- Test introspection ----------------------------------------------------
-  // Trie nodes touched by the most recent InvalidatePrefix (the O(depth)
-  // claim: stays ~path depth even on a full-capacity cache).
-  size_t last_invalidate_visited() const;
-  // Invalidated entries still awaiting lazy LRU unlink.
-  size_t dead_in_lru() const;
-  size_t graveyard_size() const;
-
  private:
-  struct Node {
+  struct Key {
+    InodeId parent_id;
     std::string name;
-    Node* parent = nullptr;
-    std::unordered_map<std::string, std::unique_ptr<Node>> children;
-
+  };
+  // A borrowed key, so lookups by path component allocate nothing.
+  struct KeyRef {
+    InodeId parent_id;
+    std::string_view name;
+    KeyRef(InodeId parent, std::string_view n) : parent_id(parent), name(n) {}
+    KeyRef(const Key& k) : parent_id(k.parent_id), name(k.name) {}  // NOLINT: implicit by design
+  };
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(KeyRef k) const noexcept;
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(KeyRef a, KeyRef b) const noexcept {
+      return a.parent_id == b.parent_id && a.name == b.name;
+    }
+  };
+  struct Entry {
     Hint hint;
-    bool has_hint = false;
-    // Live hint entries in this node's subtree, itself included. Maintained
-    // on the O(depth) put/evict/invalidate paths so a detach knows the
-    // subtree's weight without walking it.
-    int64_t subtree_hints = 0;
-    // Puts whose epoch snapshot predates this barrier are rejected. The
-    // stamp bounds the barrier's lifetime: one far older than any possible
-    // in-flight resolution may be reclaimed by the amortized trie prune
-    // (an over-aged put landing then is just a stale hint -- lazily
-    // repaired, never wrong).
-    uint64_t barrier_epoch = 0;
-    int64_t barrier_stamp = 0;
-
-    // Intrusive LRU linkage; linked iff has_hint, or dead pending reclaim.
-    Node* lru_prev = nullptr;
-    Node* lru_next = nullptr;
-    bool in_lru = false;
-
-    // Graveyard bookkeeping, used only on detached subtree roots.
-    bool detached = false;
-    int64_t dead_pending = 0;  // LRU-linked nodes awaiting lazy unlink
-    size_t graveyard_index = 0;
+    std::list<const Key*>::iterator lru;
   };
 
-  // All helpers below require mu_ held.
-  void LruLinkFront(Node* n) const;
-  void LruUnlink(Node* n) const;
-  void LruMoveFront(Node* n) const;
-  static bool IsDead(const Node* n);
-  void UnlinkDead(Node* n);
-  void ReleaseGraveyard(Node* dead_root);
-  void EvictIfNeeded();
-  void SweepDeadIfNeeded();
-  void PruneTrieIfNeeded();
-  bool PruneNode(Node* n, int64_t barrier_cutoff);
-  const Node* WalkPrefix(const std::vector<std::string>& components,
-                         std::vector<Hint>* hints) const;
+  // Requires mu_ held.
+  std::vector<Hint> Walk(const std::vector<std::string>& components, bool refresh) const;
 
   const size_t capacity_;
   mutable std::mutex mu_;
-  mutable Node root_;  // the "/" node; never carries a hint
-  // LRU: most recently used at the head. Recency updates are logically
-  // const, so lookups may splice.
-  mutable Node* lru_head_ = nullptr;
-  mutable Node* lru_tail_ = nullptr;
-  size_t size_ = 0;          // live hint entries
-  size_t dead_in_lru_ = 0;   // detached entries awaiting lazy unlink
-  std::vector<std::unique_ptr<Node>> graveyard_;
-  size_t last_invalidate_visited_ = 0;
-  // Barrier plants since the last trie prune; the trigger that keeps
-  // barrier + skeleton nodes (which are outside the size_/capacity_
-  // accounting) from accumulating without bound.
-  size_t barriers_planted_ = 0;
-  std::atomic<uint64_t> epoch_{1};
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> invalidations_{0};
-  std::atomic<uint64_t> entries_invalidated_{0};
-  std::atomic<uint64_t> stale_put_rejections_{0};
+  std::unordered_map<Key, Entry, KeyHash, KeyEq> map_;
+  // Keys of map_ (node keys are address-stable), most recently used first.
+  // Recency updates are logically const, so lookups may splice.
+  mutable std::list<const Key*> lru_;
+  mutable Stats stats_;
 };
 
 }  // namespace hops::fs

@@ -152,8 +152,6 @@ ClusterHintStats MiniCluster::AggregateHintStats() {
     out.cache.misses += s.misses;
     out.cache.evictions += s.evictions;
     out.cache.invalidations += s.invalidations;
-    out.cache.entries_invalidated += s.entries_invalidated;
-    out.cache.stale_put_rejections += s.stale_put_rejections;
   };
   for (auto& nn : namenodes_) {
     if (nn) add(*nn);

@@ -271,7 +271,7 @@ Namenode::SpeculativeRider Namenode::StageSpeculativeFanout(
   // Non-counting probe: ResolveAndLock performs the counted lookup for the
   // operation right after; a counting probe here would double-book every
   // hit/miss and skew the reported hit rate.
-  auto hints = hint_cache_.PeekChain(components).hints;
+  auto hints = hint_cache_.PeekChain(components);
   if (hints.size() < components.size()) return rider;
   const InodeHintCache::Hint& target_hint = hints[components.size() - 1];
   // Every rider table is a file satellite (blocks, replicas, leases): when
@@ -294,7 +294,7 @@ Namenode::SpeculativeRider Namenode::StageAddBlockFanout(
     kv::Txn& tx, const std::vector<std::string>& components) {
   SpeculativeRider rider;
   if (components.size() < 2) return rider;
-  auto hints = hint_cache_.PeekChain(components).hints;
+  auto hints = hint_cache_.PeekChain(components);
   if (hints.size() < components.size()) return rider;
   const InodeHintCache::Hint& target_hint = hints[components.size() - 1];
   if (target_hint.is_dir_known && target_hint.is_dir) return rider;
@@ -431,7 +431,7 @@ hops::Status Namenode::CheckSubtreeLock(kv::Txn& tx, Inode& inode, uint64_t pv) 
 
 hops::Status Namenode::ResolveSuffix(kv::Txn& tx,
                                      const std::vector<std::string>& components, size_t from,
-                                     std::vector<Inode>& chain, uint64_t hint_epoch) {
+                                     std::vector<Inode>& chain) {
   // chain holds [root, inode(components[0]) .. inode(components[from-1])];
   // resolves interior components only (the target is read in the lock phase).
   for (size_t i = from; i + 1 < components.size(); ++i) {
@@ -439,10 +439,18 @@ hops::Status Namenode::ResolveSuffix(kv::Txn& tx,
     auto out = ReadInode(tx, parent, components[i], static_cast<int>(i) + 1,
                          kv::LockMode::kReadCommitted);
     if (!out.ok()) return out.status();
-    hint_cache_.Put(components, i, parent, out->inode.id, hint_epoch, out->inode.is_dir);
+    hint_cache_.Put(parent, components[i], out->inode.id, out->inode.is_dir);
     chain.push_back(std::move(out->inode));
   }
   return hops::Status::Ok();
+}
+
+void Namenode::EraseHint(const std::vector<std::string>& components) {
+  const size_t n = components.size();
+  if (n == 0) return;
+  auto hints = hint_cache_.PeekChain(components);
+  if (hints.size() + 1 < n) return;
+  hint_cache_.Erase(n == 1 ? kRootInode : hints[n - 2].inode_id, components.back());
 }
 
 hops::Result<Namenode::Resolved> Namenode::ResolveAndLock(
@@ -451,10 +459,6 @@ hops::Result<Namenode::Resolved> Namenode::ResolveAndLock(
   r.components = components;
   r.chain.push_back(root_);
   r.chain_pvs.push_back(RootPartitionValue());
-  // Epoch snapshot BEFORE the first database read: any invalidation that
-  // lands after this point plants a barrier newer than the snapshot, so the
-  // hints this resolution later Puts cannot resurrect invalidated state.
-  r.hint_epoch = hint_cache_.epoch();
   const size_t n = components.size();
   if (n == 0) {
     r.target_exists = true;  // the root itself; immutable and never locked
@@ -472,7 +476,7 @@ hops::Result<Namenode::Resolved> Namenode::ResolveAndLock(
   bool target_from_batch = false;
   bool had_target_hint = false;
   if (!interiors_ok) {
-    auto hints = hint_cache_.LookupChain(components).hints;
+    auto hints = hint_cache_.LookupChain(components);
     had_target_hint = hints.size() >= n;
     bool try_target = had_target_hint && !spec.lock_parent;
     if (hints.size() >= n - 1) {
@@ -533,15 +537,16 @@ hops::Result<Namenode::Resolved> Namenode::ResolveAndLock(
     }
     if (!interiors_ok) {
       // Fall back to recursive resolution, repairing the cache (§5.1.1).
-      hops::Status st = ResolveSuffix(tx, components, 0, r.chain, r.hint_epoch);
+      hops::Status st = ResolveSuffix(tx, components, 0, r.chain);
       if (!st.ok()) {
         // A cached interior hint named a component that no longer exists (a
-        // peer namenode moved or deleted it): evict it and everything below
-        // it, so later resolutions stop re-reading the dead key.
+        // peer namenode moved or deleted it): erase the first dead entry so
+        // later resolutions stop re-reading the dead key. Entries below it
+        // are keyed by the dead inode's id and no chain reaches them again.
         const size_t missing = r.chain.size() - 1;
         if (st.code() == hops::StatusCode::kNotFound && missing < hints.size()) {
-          hint_cache_.InvalidatePrefix(JoinPath(std::vector<std::string>(
-              components.begin(), components.begin() + static_cast<long>(missing) + 1)));
+          hint_cache_.Erase(missing == 0 ? kRootInode : hints[missing - 1].inode_id,
+                            components[missing]);
         }
         return st;
       }
@@ -589,8 +594,7 @@ hops::Result<Namenode::Resolved> Namenode::ResolveAndLock(
                       spec.target_mode);
   if (target.ok()) {
     HOPS_RETURN_IF_ERROR(CheckSubtreeLock(tx, target->inode, target->pv));
-    hint_cache_.Put(components, n - 1, parent.id, target->inode.id, r.hint_epoch,
-                    target->inode.is_dir);
+    hint_cache_.Put(parent.id, components[n - 1], target->inode.id, target->inode.is_dir);
     r.chain.push_back(std::move(target->inode));
     r.chain_pvs.push_back(target->pv);
     r.target_exists = true;
@@ -603,17 +607,13 @@ hops::Result<Namenode::Resolved> Namenode::ResolveAndLock(
     // speculative getBlockLocations rider a dead key).
     bool stale_target_hint = had_target_hint;
     if (!stale_target_hint && n == 1) {
-      stale_target_hint = !hint_cache_.PeekChain(components).hints.empty();
+      stale_target_hint = !hint_cache_.PeekChain(components).empty();
     }
     if (stale_target_hint) {
       // A target hint existed but the path turned out NotFound: the hint
-      // points at a dead key. Evict it (and any descendants hanging off the
-      // dead inode) so the next resolution doesn't re-lock the same dead
-      // slot and fall back all over again. Adopting the planted barrier's
-      // epoch keeps THIS operation's later puts admissible (it proved the
-      // prefix dead under the slot lock; e.g. Create caches the inode it
-      // inserts) while still rejecting anything older or concurrent.
-      r.hint_epoch = hint_cache_.InvalidatePrefix(JoinPath(components));
+      // points at a dead key. Erase it so the next resolution doesn't
+      // re-lock the same dead slot and fall back all over again.
+      hint_cache_.Erase(parent.id, components[n - 1]);
     }
     if (spec.target_must_exist) {
       return hops::Status::NotFound(JoinPath(components) + " does not exist");
@@ -1010,7 +1010,7 @@ hops::Status Namenode::InsertInodeTx(const std::vector<std::string>& components,
           parent.mtime = NowMicros();
           HOPS_RETURN_IF_ERROR(tx.Update(schema_->inodes, ToRow(parent), r.parent_pv()));
         }
-        hint_cache_.Put(components, components.size() - 1, parent.id, id, r.hint_epoch, is_dir);
+        hint_cache_.Put(parent.id, components.back(), id, is_dir);
         return hops::Status::Ok();
       });
 }
@@ -1674,14 +1674,13 @@ hops::Status Namenode::Rename(const std::string& src, const std::string& dst,
     st = SubtreeRename(src_parts, dst_parts, user);
   }
   if (st.ok()) {
-    // Both prefixes go: everything under src moved away, and anything cached
-    // under dst (hints for a previously replaced/removed occupant, or
-    // planted by a resolution racing this rename) now names the wrong
-    // inode. Dropping only src used to leave those dst hints poisoning the
-    // batched locked reads until a miss repaired them. Other namenodes'
-    // hints repair lazily on their next miss (§5.1).
-    hint_cache_.InvalidatePrefix(JoinPath(src_parts));
-    hint_cache_.InvalidatePrefix(JoinPath(dst_parts));
+    // The moved inode keeps its id, so only two entries go stale: src's,
+    // and dst's if it names a previous occupant (or was planted by a
+    // resolution racing this rename). Descendants are keyed by the moved
+    // inode's id and stay valid. dst is not Put: its first resolution
+    // caches it. Other namenodes' hints repair lazily on a miss (§5.1).
+    EraseHint(src_parts);
+    EraseHint(dst_parts);
   }
   return st;
 }
@@ -1921,7 +1920,7 @@ hops::Status Namenode::Delete(const std::string& path, bool recursive,
   if (st.code() == hops::StatusCode::kNotEmpty && recursive) {
     st = SubtreeDelete(components, user);
   }
-  if (st.ok()) hint_cache_.InvalidatePrefix(JoinPath(components));
+  if (st.ok()) EraseHint(components);
   return st;
 }
 

@@ -215,10 +215,6 @@ class Namenode {
     // i.e. the lock was already held when that flush window's other
     // (pipelined) members ran. Speculative riders are only trustworthy then.
     bool target_locked_in_batch = false;
-    // Hint-cache epoch snapshotted before the resolution's first database
-    // read; callers must pass it to any hint Put derived from this
-    // resolution (a newer invalidation barrier then rejects the put).
-    uint64_t hint_epoch = 0;
     Inode& target() { return chain.back(); }
     uint64_t target_pv() const { return chain_pvs.back(); }
     Inode& parent_of_target() { return chain[chain.size() - (target_exists ? 2 : 1)]; }
@@ -260,9 +256,12 @@ class Namenode {
                                         const std::vector<std::string>& components,
                                         const LockSpec& spec);
   // Recursive (uncached) resolution of components [from..to); read-committed.
-  // Repairs the hint cache under `hint_epoch` (see Resolved::hint_epoch).
+  // Repairs the hint cache as it goes.
   hops::Status ResolveSuffix(kv::Txn& tx, const std::vector<std::string>& components,
-                             size_t from, std::vector<Inode>& chain, uint64_t hint_epoch);
+                             size_t from, std::vector<Inode>& chain);
+  // Erases the path's own hint entry, found through its cached parent chain.
+  // An entry the chain cannot reach is repaired on its next miss.
+  void EraseHint(const std::vector<std::string>& components);
   // Reads one inode by (parent, name) at `depth`, trying the alternate
   // partition rule if the primary one misses (post-move top-level rows).
   struct ReadInodeOut {

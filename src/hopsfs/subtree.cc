@@ -216,7 +216,7 @@ hops::Status Namenode::SubtreeAbort(const SubtreeSnapshot& snap) {
 
 hops::Status Namenode::DeleteBatchPipelined(const std::vector<SubtreeNode>& batch,
                                             const std::vector<Inode>& quota_ancestors) {
-  return RunTx(std::nullopt, [&](kv::Txn& tx) -> hops::Status {
+  hops::Status st = RunTx(std::nullopt, [&](kv::Txn& tx) -> hops::Status {
     // Stage 1: reads, all in flight together -- one X-locking existence
     // probe batch covering every inode row at both candidate partition
     // rules (rows that crossed the random-partition boundary in a move keep
@@ -291,6 +291,12 @@ hops::Status Namenode::DeleteBatchPipelined(const std::vector<SubtreeNode>& batc
     return UpdateQuotaUsage(tx, quota_ancestors, -ns_removed, -ss_removed,
                             /*enforce=*/false);
   });
+  // The batch committed: its inodes are gone, and so are their hints. A
+  // batch that failed deleted nothing and leaves its hints live.
+  if (st.ok()) {
+    for (const SubtreeNode& node : batch) hint_cache_.Erase(node.parent_id, node.name);
+  }
+  return st;
 }
 
 hops::Status Namenode::SubtreeDelete(const std::vector<std::string>& components,
@@ -335,10 +341,6 @@ hops::Status Namenode::SubtreeDelete(const std::vector<std::string>& components,
     pool.Wait();
     if (failed.load()) {
       (void)SubtreeAbort(snap);
-      // Some batches already committed their deletes: hints below the root
-      // are part-dead. Over-invalidate the whole prefix rather than leave
-      // them poisoning batched reads.
-      hint_cache_.InvalidatePrefix(JoinPath(components));
       return first_error;
     }
   }

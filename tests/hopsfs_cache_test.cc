@@ -1,7 +1,6 @@
-// The trie-backed inode hint cache: chain lookups, LRU eviction edges,
-// O(depth) prefix invalidation (no cache scan, verified on a full-capacity
-// cache), lazy dead-entry reclaim, and the epoch barrier that keeps
-// in-flight resolutions from re-inserting invalidated hints.
+// The inode hint cache, keyed by inode primary key (parent id, name): chain
+// lookups that follow ids from the root, hit/miss accounting, LRU eviction
+// edges, and single-entry invalidation.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,271 +16,133 @@ std::vector<std::string> P(std::initializer_list<const char*> parts) {
   return std::vector<std::string>(parts.begin(), parts.end());
 }
 
-std::vector<std::string> P(std::initializer_list<std::string> parts) {
-  return std::vector<std::string>(parts.begin(), parts.end());
-}
-
 TEST(InodeCacheTest, ChainLookupStopsAtGap) {
   InodeHintCache cache(128);
-  auto path = P({"a", "b", "c"});
-  cache.Put(path, 0, kRootInode, 10, cache.epoch());
-  cache.Put(path, 1, 10, 20, cache.epoch());
-  auto chain = cache.LookupChain(path).hints;
+  cache.Put(kRootInode, "a", 10);
+  cache.Put(10, "b", 20);
+  cache.Put(99, "c", 30);  // under an inode the chain never reaches
+  auto chain = cache.LookupChain(P({"a", "b", "c"}));
   ASSERT_EQ(chain.size(), 2u);
   EXPECT_EQ(chain[0].inode_id, 10);
   EXPECT_EQ(chain[1].inode_id, 20);
-  EXPECT_EQ(chain[1].parent_id, 10);
 }
 
 TEST(InodeCacheTest, FullChainCountsAsHit) {
   InodeHintCache cache(128);
-  auto path = P({"a", "b"});
-  cache.Put(path, 0, kRootInode, 10, cache.epoch());
-  cache.Put(path, 1, 10, 20, cache.epoch());
-  ASSERT_EQ(cache.LookupChain(path).hints.size(), 2u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 0u);
-  EXPECT_EQ(cache.LookupChain(P({"a", "z"})).hints.size(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  cache.Put(kRootInode, "a", 10);
+  cache.Put(10, "b", 20);
+  ASSERT_EQ(cache.LookupChain(P({"a", "b"})).size(), 2u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(cache.LookupChain(P({"a", "z"})).size(), 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(InodeCacheTest, PeekChainDoesNotCountOrRefresh) {
   InodeHintCache cache(2);
-  cache.Put(P({"a"}), 0, 1, 10, cache.epoch());
-  cache.Put(P({"b"}), 0, 1, 11, cache.epoch());
-  ASSERT_EQ(cache.PeekChain(P({"a"})).hints.size(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
+  cache.Put(kRootInode, "a", 10);
+  cache.Put(kRootInode, "b", 11);
+  ASSERT_EQ(cache.PeekChain(P({"a"})).size(), 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);
   // The peek did not refresh /a's recency: /a is still the LRU victim.
-  cache.Put(P({"c"}), 0, 1, 12, cache.epoch());
-  EXPECT_TRUE(cache.PeekChain(P({"a"})).hints.empty());
-  EXPECT_EQ(cache.PeekChain(P({"b"})).hints.size(), 1u);
+  cache.Put(kRootInode, "c", 12);
+  EXPECT_TRUE(cache.PeekChain(P({"a"})).empty());
+  EXPECT_EQ(cache.PeekChain(P({"b"})).size(), 1u);
 }
 
-TEST(InodeCacheTest, PrefixInvalidation) {
+TEST(InodeCacheTest, EraseStalesOnlyThatKey) {
+  // A rename of /a to /a2 keeps the directory's id, so /a's entry is the
+  // only stale one: its child's entry, keyed by that id, stays valid.
   InodeHintCache cache(128);
-  auto p1 = P({"a", "b", "c"});
-  auto p2 = P({"a", "bx"});
-  cache.Put(p1, 0, 1, 10, cache.epoch());
-  cache.Put(p1, 1, 10, 20, cache.epoch());
-  cache.Put(p1, 2, 20, 30, cache.epoch());
-  cache.Put(p2, 1, 10, 40, cache.epoch());
-  cache.InvalidatePrefix("/a/b");
-  EXPECT_EQ(cache.LookupChain(p1).hints.size(), 1u)
-      << "/a survives, /a/b and /a/b/c are gone";
-  EXPECT_EQ(cache.LookupChain(p2).hints.size(), 2u)
-      << "/a/bx is not under the /a/b prefix";
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().entries_invalidated, 2u);
+  cache.Put(kRootInode, "a", 10);
+  cache.Put(10, "b", 20);
+  cache.Erase(kRootInode, "a");
+  EXPECT_EQ(cache.stats().invalidations, 1u);
+  EXPECT_TRUE(cache.LookupChain(P({"a", "b"})).empty());
+  EXPECT_EQ(cache.size(), 1u);
+  cache.Put(kRootInode, "a2", 10);
+  auto chain = cache.LookupChain(P({"a2", "b"}));
+  ASSERT_EQ(chain.size(), 2u);
+  EXPECT_EQ(chain[1].inode_id, 20);
+  // Erasing an absent entry is not an invalidation.
+  cache.Erase(kRootInode, "a");
+  EXPECT_EQ(cache.stats().invalidations, 1u);
 }
 
-TEST(InodeCacheTest, InvalidateRootPrefixDropsEverything) {
+TEST(InodeCacheTest, RefreshWithoutKindKeepsAKnownKind) {
   InodeHintCache cache(128);
-  cache.Put(P({"a"}), 0, 1, 10, cache.epoch());
-  cache.Put(P({"b"}), 0, 1, 11, cache.epoch());
-  cache.InvalidatePrefix("/");
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_TRUE(cache.LookupChain(P({"a"})).hints.empty());
-  EXPECT_TRUE(cache.LookupChain(P({"b"})).hints.empty());
+  cache.Put(kRootInode, "d", 10, /*is_dir=*/true);
+  cache.Put(kRootInode, "d", 10);  // same inode, kind unknown to the producer
+  auto chain = cache.PeekChain(P({"d"}));
+  ASSERT_EQ(chain.size(), 1u);
+  EXPECT_TRUE(chain[0].is_dir_known);
+  EXPECT_TRUE(chain[0].is_dir);
+  cache.Put(kRootInode, "d", 11);  // a different inode: the kind is unknown
+  chain = cache.PeekChain(P({"d"}));
+  ASSERT_EQ(chain.size(), 1u);
+  EXPECT_FALSE(chain[0].is_dir_known);
 }
 
 TEST(InodeCacheTest, LruEviction) {
   InodeHintCache cache(2);
-  cache.Put(P({"a"}), 0, 1, 10, cache.epoch());
-  cache.Put(P({"b"}), 0, 1, 11, cache.epoch());
-  ASSERT_EQ(cache.LookupChain(P({"a"})).hints.size(), 1u);  // touch /a
-  cache.Put(P({"c"}), 0, 1, 12, cache.epoch());             // evicts /b
+  cache.Put(kRootInode, "a", 10);
+  cache.Put(kRootInode, "b", 11);
+  ASSERT_EQ(cache.LookupChain(P({"a"})).size(), 1u);  // touch /a
+  cache.Put(kRootInode, "c", 12);                     // evicts /b
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.LookupChain(P({"b"})).hints.size(), 0u);
-  EXPECT_EQ(cache.LookupChain(P({"a"})).hints.size(), 1u);
+  EXPECT_EQ(cache.LookupChain(P({"b"})).size(), 0u);
+  EXPECT_EQ(cache.LookupChain(P({"a"})).size(), 1u);
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(InodeCacheTest, EvictingInteriorKeepsDescendantsAddressable) {
-  // Evicting an interior prefix only removes that node's hint; descendants
-  // keep theirs and become reachable again once the interior is re-put.
+  // Evicting an interior entry only removes that entry; descendants keep
+  // theirs and become reachable again once the interior is re-put.
   InodeHintCache cache(3);
   auto deep = P({"a", "b", "c"});
-  cache.Put(deep, 0, 1, 10, cache.epoch());
-  cache.Put(deep, 1, 10, 20, cache.epoch());
-  cache.Put(deep, 2, 20, 30, cache.epoch());
-  // Refresh the deeper entries, then overflow: /a is the victim.
-  ASSERT_EQ(cache.LookupChain(deep).hints.size(), 3u);
-  (void)cache.LookupChain(deep);
-  cache.Put(P({"z"}), 0, 1, 40, cache.epoch());
+  cache.Put(kRootInode, "a", 10);
+  cache.Put(10, "b", 20);
+  cache.Put(20, "c", 30);
+  // The lookup refreshes a, then b, then c: /a is the least recent.
+  ASSERT_EQ(cache.LookupChain(deep).size(), 3u);
+  cache.Put(kRootInode, "z", 40);
   EXPECT_EQ(cache.size(), 3u);
-  EXPECT_TRUE(cache.LookupChain(deep).hints.empty()) << "chain breaks at evicted /a";
-  cache.Put(deep, 0, 1, 10, cache.epoch());
-  EXPECT_GE(cache.LookupChain(deep).hints.size(), 1u);
+  EXPECT_TRUE(cache.LookupChain(deep).empty()) << "chain breaks at evicted /a";
+  cache.Erase(kRootInode, "z");  // make room so re-putting /a evicts nothing
+  cache.Put(kRootInode, "a", 10);
+  EXPECT_EQ(cache.LookupChain(deep).size(), 3u);
 }
 
 TEST(InodeCacheTest, ZeroCapacityDisables) {
   InodeHintCache cache(0);
-  cache.Put(P({"a"}), 0, 1, 10, cache.epoch());
+  cache.Put(kRootInode, "a", 10);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_TRUE(cache.LookupChain(P({"a"})).hints.empty());
+  EXPECT_TRUE(cache.LookupChain(P({"a"})).empty());
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
-TEST(InodeCacheTest, ClearDropsEverythingAndBarsInflightPuts) {
+TEST(InodeCacheTest, ClearDropsEverything) {
   InodeHintCache cache(128);
-  uint64_t before = cache.epoch();
-  cache.Put(P({"a"}), 0, 1, 10, before);
+  cache.Put(kRootInode, "a", 10);
+  cache.Put(10, "b", 20);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
-  cache.Put(P({"a"}), 0, 1, 10, before);  // snapshot predates the clear
-  EXPECT_TRUE(cache.LookupChain(P({"a"})).hints.empty());
-  cache.Put(P({"a"}), 0, 1, 10, cache.epoch());
-  EXPECT_EQ(cache.LookupChain(P({"a"})).hints.size(), 1u);
-}
-
-// --- Epoch barrier edges -----------------------------------------------------
-
-TEST(InodeCacheTest, EpochRejectsPutThatRacedAnInvalidation) {
-  InodeHintCache cache(128);
-  auto path = P({"a", "b"});
-  // A resolution snapshots the epoch, reads the database... meanwhile a
-  // rename invalidates the prefix. The late Put must not land.
-  uint64_t snapshot = cache.epoch();
-  cache.InvalidatePrefix("/a/b");
-  cache.Put(path, 1, 10, 20, snapshot);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().stale_put_rejections, 1u);
-  // A resolution that started after the invalidation may cache normally.
-  cache.Put(path, 1, 10, 21, cache.epoch());
-  cache.Put(path, 0, 1, 10, cache.epoch());
-  EXPECT_EQ(cache.LookupChain(path).hints.size(), 2u);
-}
-
-TEST(InodeCacheTest, BarrierCoversDescendantsOfInvalidatedPrefix) {
-  InodeHintCache cache(128);
-  uint64_t snapshot = cache.epoch();
-  cache.InvalidatePrefix("/a");
-  // The stale resolution tries to re-plant a hint BELOW the invalidated
-  // prefix; the barrier on /a must cover it.
-  cache.Put(P({"a", "b", "c"}), 2, 20, 30, snapshot);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().stale_put_rejections, 1u);
-}
-
-TEST(InodeCacheTest, BarrierExistsEvenWhenNothingWasCached) {
-  InodeHintCache cache(128);
-  uint64_t snapshot = cache.epoch();
-  cache.InvalidatePrefix("/ghost");  // nothing cached under /ghost
-  cache.Put(P({"ghost"}), 0, 1, 10, snapshot);
-  EXPECT_EQ(cache.size(), 0u) << "the barrier must exist for uncached prefixes too";
-  EXPECT_EQ(cache.stats().stale_put_rejections, 1u);
-}
-
-TEST(InodeCacheTest, BarrierDoesNotAffectSiblings) {
-  InodeHintCache cache(128);
-  uint64_t snapshot = cache.epoch();
-  cache.InvalidatePrefix("/a/b");
-  cache.Put(P({"a"}), 0, 1, 10, snapshot);        // above the barrier
-  cache.Put(P({"a", "bx"}), 1, 10, 40, snapshot);  // sibling of the barrier
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().stale_put_rejections, 0u);
-}
-
-// --- O(depth) invalidation & lazy reclaim ------------------------------------
-
-TEST(InodeCacheTest, InvalidateOnFullCapacityCacheIsODepth) {
-  // The regression this rebuild fixes: InvalidatePrefix used to walk the
-  // WHOLE map under the mutex (capacity entries) on every rename/delete.
-  // The trie detaches one subtree edge instead; on a cache filled to
-  // capacity, invalidating one deep prefix must touch ~depth nodes, not
-  // thousands.
-  constexpr size_t kCapacity = 4096;
-  InodeHintCache cache(kCapacity);
-  // Fill to capacity with sibling subtrees /dN/f.
-  for (size_t i = 0; cache.size() < kCapacity; ++i) {
-    auto dir = P({"d" + std::to_string(i)});
-    cache.Put(dir, 0, 1, static_cast<InodeId>(100 + i), cache.epoch());
-    auto file = P({"d" + std::to_string(i), "f"});
-    cache.Put(file, 1, static_cast<InodeId>(100 + i), static_cast<InodeId>(10000 + i),
-              cache.epoch());
-  }
-  ASSERT_EQ(cache.size(), kCapacity);
-  cache.InvalidatePrefix("/d7/f");
-  EXPECT_LE(cache.last_invalidate_visited(), 4u)
-      << "a full-capacity cache must not be scanned";
-  EXPECT_EQ(cache.size(), kCapacity - 1);
-  EXPECT_EQ(cache.LookupChain(P({"d7"})).hints.size(), 1u);
-  EXPECT_EQ(cache.LookupChain(P({"d7", "f"})).hints.size(), 1u)
-      << "only the /d7 hint remains; /d7/f is gone";
-  // Invalidating a whole subtree is still an O(depth) detach.
-  cache.InvalidatePrefix("/d9");
-  EXPECT_LE(cache.last_invalidate_visited(), 3u);
-  EXPECT_EQ(cache.size(), kCapacity - 3);
-}
-
-TEST(InodeCacheTest, DeadEntriesAreReclaimedLazily) {
-  InodeHintCache cache(64);
-  // Repeated fill + invalidate cycles: detached entries linger on the LRU
-  // list only until eviction or the sweep unlinks them; neither the dead
-  // count nor the graveyard may grow without bound.
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 32; ++i) {
-      auto path = P({"r" + std::to_string(round), "f" + std::to_string(i)});
-      cache.Put(path, 0, 1, 10, cache.epoch());
-      cache.Put(path, 1, 10, static_cast<InodeId>(i), cache.epoch());
-    }
-    cache.InvalidatePrefix("/r" + std::to_string(round));
-  }
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_LE(cache.dead_in_lru(), 64u + 33u);
-  EXPECT_LE(cache.graveyard_size(), cache.dead_in_lru());
-  // The cache still works after heavy churn.
-  cache.Put(P({"x"}), 0, 1, 10, cache.epoch());
-  EXPECT_EQ(cache.LookupChain(P({"x"})).hints.size(), 1u);
-}
-
-TEST(InodeCacheTest, EvictionSkipsDeadEntriesAndReleasesTheirSubtrees) {
-  InodeHintCache cache(4);
-  cache.Put(P({"a"}), 0, 1, 10, cache.epoch());
-  cache.Put(P({"a", "f"}), 1, 10, 20, cache.epoch());
-  cache.InvalidatePrefix("/a");
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.dead_in_lru(), 2u);
-  EXPECT_EQ(cache.graveyard_size(), 1u);
-  // Fill past capacity: evictions must burn through the dead tail entries
-  // and, once the last one unlinks, release the graveyard subtree.
-  for (int i = 0; i < 6; ++i) {
-    cache.Put(P({"n" + std::to_string(i)}), 0, 1, static_cast<InodeId>(i),
-              cache.epoch());
-  }
-  EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.dead_in_lru(), 0u);
-  EXPECT_EQ(cache.graveyard_size(), 0u);
-}
-
-TEST(InodeCacheTest, TriePruneKeepsFreshBarriersAndLiveHints) {
-  // Push past the barrier-plant threshold so the amortized trie prune runs:
-  // fresh (unexpired) barriers must keep rejecting stale puts and live
-  // hints must survive the walk.
-  InodeHintCache cache(64);
-  cache.Put(P({"keep"}), 0, 1, 7, cache.epoch());
-  uint64_t snapshot = cache.epoch();
-  for (int i = 0; i < 1100; ++i) {
-    cache.InvalidatePrefix("/ghost" + std::to_string(i));
-  }
-  EXPECT_EQ(cache.LookupChain(P({"keep"})).hints.size(), 1u);
-  cache.Put(P({"ghost5"}), 0, 1, 10, snapshot);
-  EXPECT_EQ(cache.stats().stale_put_rejections, 1u)
-      << "a fresh barrier must survive the prune";
-  cache.Put(P({"ghost5"}), 0, 1, 10, cache.epoch());
-  EXPECT_EQ(cache.LookupChain(P({"ghost5"})).hints.size(), 1u);
+  EXPECT_TRUE(cache.LookupChain(P({"a"})).empty());
+  cache.Put(kRootInode, "a", 10);
+  EXPECT_EQ(cache.LookupChain(P({"a"})).size(), 1u);
 }
 
 TEST(InodeCacheTest, UpdateOfExistingHintRefreshesValueAndRecency) {
   InodeHintCache cache(2);
-  cache.Put(P({"a"}), 0, 1, 10, cache.epoch());
-  cache.Put(P({"b"}), 0, 1, 11, cache.epoch());
-  cache.Put(P({"a"}), 0, 1, 99, cache.epoch());  // update + refresh
-  cache.Put(P({"c"}), 0, 1, 12, cache.epoch());  // evicts /b, not /a
-  auto chain = cache.LookupChain(P({"a"})).hints;
+  cache.Put(kRootInode, "a", 10);
+  cache.Put(kRootInode, "b", 11);
+  cache.Put(kRootInode, "a", 99);  // update + refresh
+  cache.Put(kRootInode, "c", 12);  // evicts /b, not /a
+  auto chain = cache.LookupChain(P({"a"}));
   ASSERT_EQ(chain.size(), 1u);
   EXPECT_EQ(chain[0].inode_id, 99);
-  EXPECT_TRUE(cache.LookupChain(P({"b"})).hints.empty());
+  EXPECT_TRUE(cache.LookupChain(P({"b"})).empty());
 }
 
 }  // namespace

@@ -283,17 +283,17 @@ TEST_F(ConcurrencyTest, CrossNamenodeRenameStalenessRepairsLazilyBeforeTheTick) 
   ASSERT_TRUE(a.CompleteFile("/stale/f", "c").ok());
   // NN-B caches the full chain for /stale/f.
   ASSERT_TRUE(b.GetFileInfo("/stale/f").ok());
-  ASSERT_EQ(b.hint_cache().PeekChain({"stale", "f"}).hints.size(), 2u);
+  ASSERT_EQ(b.hint_cache().PeekChain({"stale", "f"}).size(), 2u);
   // Rename on NN-A. No heartbeat has run: NN-B still holds the stale hints.
   ASSERT_TRUE(a.Rename("/stale/f", "/stale/g").ok());
-  ASSERT_EQ(b.hint_cache().PeekChain({"stale", "f"}).hints.size(), 2u);
+  ASSERT_EQ(b.hint_cache().PeekChain({"stale", "f"}).size(), 2u);
   // Lazy repair: NN-B must resolve correctly THROUGH the stale hint.
   EXPECT_EQ(b.GetFileInfo("/stale/f").status().code(), hops::StatusCode::kNotFound);
   EXPECT_TRUE(b.GetFileInfo("/stale/g").ok());
   // Regression (stale-hint fallback): the NotFound resolution must have
   // evicted the dead target hint -- the next resolution is not doomed to
   // re-lock the same dead key.
-  EXPECT_LT(b.hint_cache().PeekChain({"stale", "f"}).hints.size(), 2u);
+  EXPECT_LT(b.hint_cache().PeekChain({"stale", "f"}).size(), 2u);
 }
 
 TEST_F(ConcurrencyTest, SubtreeRenameRepairsPeerHintsLazily) {
@@ -306,12 +306,12 @@ TEST_F(ConcurrencyTest, SubtreeRenameRepairsPeerHintsLazily) {
   // /pro/dir has a child, so this goes through the subtree protocol (§6).
   ASSERT_TRUE(a.Rename("/pro/dir", "/pro/dir2").ok());
   // No heartbeat: NN-B still holds the whole 3-deep stale chain.
-  ASSERT_EQ(b.hint_cache().PeekChain({"pro", "dir", "f"}).hints.size(), 3u);
+  ASSERT_EQ(b.hint_cache().PeekChain({"pro", "dir", "f"}).size(), 3u);
   EXPECT_TRUE(b.GetFileInfo("/pro/dir2/f").ok());
   EXPECT_EQ(b.GetFileInfo("/pro/dir/f").status().code(), hops::StatusCode::kNotFound);
-  // The NotFound resolution evicted the dead /pro/dir hint and everything
-  // hanging off it; /pro itself is still live.
-  EXPECT_EQ(b.hint_cache().PeekChain({"pro", "dir", "f"}).hints.size(), 1u);
+  // The NotFound resolution erased the dead /pro/dir entry, which breaks
+  // the chain there; /pro itself is still live.
+  EXPECT_EQ(b.hint_cache().PeekChain({"pro", "dir", "f"}).size(), 1u);
   EXPECT_EQ(b.GetFileInfo("/pro/dir/f").status().code(), hops::StatusCode::kNotFound);
 }
 
@@ -323,9 +323,9 @@ TEST_F(ConcurrencyTest, SubtreeDeleteRepairsPeerHintsLazily) {
   ASSERT_TRUE(a.CompleteFile("/gone/sub/f", "c").ok());
   ASSERT_TRUE(b.GetFileInfo("/gone/sub/f").ok());
   ASSERT_TRUE(a.Delete("/gone", true).ok());
-  ASSERT_EQ(b.hint_cache().PeekChain({"gone", "sub", "f"}).hints.size(), 3u);
+  ASSERT_EQ(b.hint_cache().PeekChain({"gone", "sub", "f"}).size(), 3u);
   EXPECT_EQ(b.GetFileInfo("/gone/sub/f").status().code(), hops::StatusCode::kNotFound);
-  EXPECT_TRUE(b.hint_cache().PeekChain({"gone"}).hints.empty());
+  EXPECT_TRUE(b.hint_cache().PeekChain({"gone"}).empty());
   // Recreating the path on NN-A is visible on NN-B at once.
   ASSERT_TRUE(a.Mkdirs("/gone/sub").ok());
   EXPECT_TRUE(b.GetFileInfo("/gone/sub").ok());
@@ -397,10 +397,9 @@ TEST_F(ConcurrencyTest, RenameInvalidatesDestinationPrefixHints) {
   ASSERT_TRUE(c_info.ok());
   // A hint under the destination prefix, as a since-replaced occupant of
   // /c/d would have left behind.
-  nn.hint_cache().Put({"c", "d"}, 1, c_info->inode_id, /*inode_id=*/999999,
-                      nn.hint_cache().epoch());
+  nn.hint_cache().Put(c_info->inode_id, "d", /*inode_id=*/999999);
   ASSERT_TRUE(nn.Rename("/srcfile", "/c/d").ok());
-  auto hints = nn.hint_cache().PeekChain({"c", "d"}).hints;
+  auto hints = nn.hint_cache().PeekChain({"c", "d"});
   ASSERT_LT(hints.size(), 2u) << "the stale /c/d hint must be gone";
   // And the renamed file is fully usable at its new path.
   auto moved = nn.GetFileInfo("/c/d");
@@ -416,17 +415,48 @@ TEST_F(ConcurrencyTest, CreateOverStaleHintStillCachesTheNewInode) {
   ASSERT_TRUE(a.CompleteFile("/adopt/f", "c").ok());
   ASSERT_TRUE(b.GetFileInfo("/adopt/f").ok());    // B caches the chain
   ASSERT_TRUE(a.Delete("/adopt/f", false).ok());  // delete on A; no tick yet
-  ASSERT_EQ(b.hint_cache().PeekChain({"adopt", "f"}).hints.size(), 2u);
-  // Create over the stale hint on B: the NotFound fallback evicts the dead
-  // hint, and the create must still cache its own fresh inode -- the
-  // planted barrier admits the operation that planted it.
+  ASSERT_EQ(b.hint_cache().PeekChain({"adopt", "f"}).size(), 2u);
+  // Create over the stale hint on B: the NotFound fallback erases the dead
+  // hint, and the create must still cache its own fresh inode.
   ASSERT_TRUE(b.Create("/adopt/f", "c2").ok());
   auto info = b.GetFileInfo("/adopt/f");
   ASSERT_TRUE(info.ok());
-  auto hints = b.hint_cache().PeekChain({"adopt", "f"}).hints;
+  auto hints = b.hint_cache().PeekChain({"adopt", "f"});
   ASSERT_EQ(hints.size(), 2u);
   EXPECT_EQ(hints[1].inode_id, info->inode_id);
-  EXPECT_EQ(b.hint_cache().stats().stale_put_rejections, 0u);
+}
+
+TEST_F(ConcurrencyTest, RenamedDirectoryKeepsDescendantHints) {
+  // Hints are keyed by (parent id, name) and a move keeps the directory's
+  // id: renaming a non-empty directory stales only its own entry, so one
+  // resolution of the new name makes its whole cached subtree reachable.
+  Namenode& nn = cluster_->namenode(0);
+  ASSERT_TRUE(nn.Mkdirs("/r/d").ok());
+  ASSERT_TRUE(nn.Create("/r/d/f", "c").ok());
+  ASSERT_TRUE(nn.CompleteFile("/r/d/f", "c").ok());
+  ASSERT_TRUE(nn.GetFileInfo("/r/d/f").ok());
+  ASSERT_TRUE(nn.Rename("/r/d", "/r/e").ok());
+  ASSERT_TRUE(nn.GetFileInfo("/r/e").ok());
+  EXPECT_EQ(nn.hint_cache().PeekChain({"r", "e", "f"}).size(), 3u);
+  EXPECT_TRUE(nn.GetFileInfo("/r/e/f").ok());
+  EXPECT_EQ(nn.GetFileInfo("/r/d/f").status().code(), hops::StatusCode::kNotFound);
+}
+
+TEST_F(ConcurrencyTest, RecursiveDeleteLeavesNoHintForDeletedInodes) {
+  // A subtree delete erases every deleted inode's entry as its batch
+  // commits; without that the entries, unreachable from the root, would
+  // sit in the cache until LRU eviction.
+  Namenode& nn = cluster_->namenode(0);
+  const size_t before = nn.hint_cache().size();
+  ASSERT_TRUE(nn.Mkdirs("/j").ok());
+  for (int i = 0; i < 64; ++i) {
+    const std::string path = "/j/f" + std::to_string(i);
+    ASSERT_TRUE(nn.Create(path, "c").ok());
+    ASSERT_TRUE(nn.CompleteFile(path, "c").ok());
+  }
+  ASSERT_GT(nn.hint_cache().size(), before);
+  ASSERT_TRUE(nn.Delete("/j", true).ok());
+  EXPECT_EQ(nn.hint_cache().size(), before);
 }
 
 // ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ TEST(PartitionTest, ChildrenPruning) {
   EXPECT_TRUE(ChildrenArePruned(0, 0));
 }
 
-// The inode hint cache's own suite (trie layout, LRU, epochs, invalidation)
+// The inode hint cache's own suite (chain lookups, LRU, invalidation)
 // lives in hopsfs_cache_test.cc.
 
 }  // namespace
