@@ -7,20 +7,20 @@
 
 #include <cstdio>
 
-#include "ndb/cluster.h"
+#include "kv/kv.h"
 #include "sim/calibration.h"
 
 namespace {
 
-using namespace hops::ndb;
+using namespace hops::kv;
 
 struct Fixture {
   Fixture() {
-    ClusterConfig cfg;
+    EngineConfig cfg;
     cfg.num_datanodes = 12;
     cfg.replication = 2;
     cfg.partitions_per_table = 24;
-    cluster = std::make_unique<Cluster>(cfg);
+    cluster = MakeEngine(EngineKind::kNdb, cfg);
     Schema s;
     s.table_name = "t";
     s.columns = {{"parent", ColumnType::kInt64},
@@ -60,7 +60,7 @@ struct Fixture {
     return total;
   }
 
-  std::unique_ptr<Cluster> cluster;
+  std::unique_ptr<Engine> cluster;
   TableId table = 0;
   hops::sim::Calibration cal;
 };
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
     pipe_tx->EnableTrace();
     {
       std::vector<ReadBatch> batches(kBatches);
-      std::vector<PendingBatch> pending;
+      std::vector<Pending> pending;
       for (int64_t i = 0; i < kBatches; ++i) {
         stage(batches[static_cast<size_t>(i)], i);
         pending.push_back(pipe_tx->ExecuteAsync(batches[static_cast<size_t>(i)]));

@@ -5,16 +5,16 @@
 #include <cstdio>
 #include <vector>
 
-#include "ndb/cluster.h"
+#include "kv/kv.h"
 
 int main() {
-  using namespace hops::ndb;
+  using namespace hops::kv;
 
-  ClusterConfig cfg;
+  EngineConfig cfg;
   cfg.num_datanodes = 8;
   cfg.replication = 2;
   cfg.partitions_per_table = 16;
-  Cluster cluster(cfg);
+  auto cluster = MakeEngine(EngineKind::kNdb, cfg);
 
   Schema s;
   s.table_name = "inodes";
@@ -23,10 +23,10 @@ int main() {
                {"id", ColumnType::kInt64}};
   s.primary_key = {0, 1};
   s.partition_key = {0};
-  TableId table = *cluster.CreateTable(s);
+  TableId table = *cluster->CreateTable(s);
 
   {
-    auto tx = cluster.Begin();
+    auto tx = cluster->Begin();
     for (int64_t parent = 0; parent < 64; ++parent) {
       for (int64_t c = 0; c < 4; ++c) {
         (void)tx->Insert(table, Row{parent, "f" + std::to_string(c), parent * 4 + c});
@@ -43,9 +43,9 @@ int main() {
   std::printf("six independent 8-key read batches on one transaction\n\n");
 
   // Synchronous: each Execute is its own round trip, chained.
-  cluster.ResetStats();
+  cluster->ResetStats();
   {
-    auto tx = cluster.Begin();
+    auto tx = cluster->Begin();
     for (int64_t b = 0; b < kBatches; ++b) {
       ReadBatch batch;
       stage(batch, b);
@@ -53,19 +53,19 @@ int main() {
     }
     (void)tx->Commit();
   }
-  auto sync_stats = cluster.StatsSnapshot();
+  auto sync_stats = cluster->StatsSnapshot();
   std::printf("sync Execute        %llu round trips, %llu saved by overlap\n",
               static_cast<unsigned long long>(sync_stats.round_trips),
               static_cast<unsigned long long>(sync_stats.overlapped_round_trips));
 
   // Pipelined: ExecuteAsync prepares; the first Wait flushes the whole
   // in-flight window as ONE overlapped trip (bounded by
-  // ClusterConfig::max_in_flight_batches, default 8).
-  cluster.ResetStats();
+  // EngineConfig::max_in_flight_batches, default 8).
+  cluster->ResetStats();
   {
-    auto tx = cluster.Begin();
+    auto tx = cluster->Begin();
     std::vector<ReadBatch> batches(kBatches);
-    std::vector<PendingBatch> pending;
+    std::vector<Pending> pending;
     for (int64_t b = 0; b < kBatches; ++b) {
       stage(batches[static_cast<size_t>(b)], b);
       pending.push_back(tx->ExecuteAsync(batches[static_cast<size_t>(b)]));
@@ -79,7 +79,7 @@ int main() {
     if (!batches[0].row(0).has_value()) return 1;
     (void)tx->Commit();
   }
-  auto pipe_stats = cluster.StatsSnapshot();
+  auto pipe_stats = cluster->StatsSnapshot();
   std::printf("pipelined ExecuteAsync  %llu round trip(s), %llu saved by overlap\n",
               static_cast<unsigned long long>(pipe_stats.round_trips),
               static_cast<unsigned long long>(pipe_stats.overlapped_round_trips));

@@ -3,8 +3,8 @@
 #include <cctype>
 #include <cstdlib>
 
-#include "kv/ndb_engine.h"
 #include "kv/occ_engine.h"
+#include "ndb/cluster.h"
 
 namespace hops::kv {
 
@@ -19,7 +19,9 @@ std::string_view EngineKindName(EngineKind kind) {
 std::optional<EngineKind> ParseEngineKind(std::string_view name) {
   std::string lower;
   lower.reserve(name.size());
-  for (char c : name) lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+  for (char c : name) {
+    lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+  }
   if (lower == "ndb" || lower == "2pl") return EngineKind::kNdb;
   if (lower == "occ" || lower == "mvcc") return EngineKind::kOcc;
   return std::nullopt;
@@ -33,7 +35,7 @@ std::optional<EngineKind> EngineKindFromEnv() {
 
 std::unique_ptr<Engine> MakeEngine(EngineKind kind, EngineConfig config) {
   switch (kind) {
-    case EngineKind::kNdb: return std::make_unique<NdbEngine>(config);
+    case EngineKind::kNdb: return std::make_unique<ndb::Cluster>(config);
     case EngineKind::kOcc: return std::make_unique<OccEngine>(config);
   }
   return nullptr;

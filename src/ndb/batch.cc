@@ -1,6 +1,6 @@
-// ReadBatch / WriteBatch staging. Execution lives in transaction.cc
-// (Transaction::Execute), which owns routing, lock ordering and cost
-// accounting.
+// ReadBatch / WriteBatch staging. Execution lives in kv/skeleton.cc
+// (routing, flush windows, cost accounting) and the engines' concurrency
+// control (2PL lock ordering in ndb/transaction.cc).
 #include "ndb/batch.h"
 
 namespace hops::ndb {

@@ -6,9 +6,10 @@
 // fanning out to the touched partitions in parallel. A ReadBatch may mix
 // point gets (per-slot lock mode) and pruned scans across tables; a
 // WriteBatch stages inserts/updates/upserts/deletes. Execution groups the
-// operations by partition and acquires every row lock in one global
-// (table, partition, encoded-key) order, so two concurrent batches can never
-// deadlock against each other regardless of the order their ops were staged.
+// operations by partition; the 2PL engine acquires every row lock in one
+// global (table, partition, encoded-key) order, so two concurrent batches can
+// never deadlock against each other regardless of the order their ops were
+// staged.
 #pragma once
 
 #include <cassert>
@@ -19,17 +20,23 @@
 #include <utility>
 #include <vector>
 
-#include "ndb/partition.h"
 #include "ndb/schema.h"
 #include "ndb/value.h"
 
 namespace hops::kv {
-class OccTxn;
+class TxnSkeleton;
 }  // namespace hops::kv
 
 namespace hops::ndb {
 
 class Transaction;
+
+// How an access claims the rows it reads (paper §2.2.2).
+//  * kReadCommitted: the latest committed version; never blocks, no
+//    stability past the read itself.
+//  * kShared: the value read stays unchanged until commit.
+//  * kExclusive: kShared's guarantee plus the intent to write.
+enum class LockMode : uint8_t { kReadCommitted, kShared, kExclusive };
 
 // How a batch's row locks are ordered during acquisition.
 //  * kGlobalOrder (default): the whole lock set is sorted into the global
@@ -62,8 +69,8 @@ struct ScanOptions {
   std::function<bool(const Row&)> predicate;
 };
 
-// A staged set of reads executed together by Transaction::Execute (one
-// round trip) or pipelined through Transaction::ExecuteAsync (several
+// A staged set of reads executed together by kv::Txn::Execute (one
+// round trip) or pipelined through kv::Txn::ExecuteAsync (several
 // batches sharing one overlapped round-trip window). Staging calls return a
 // slot index; results are read back by slot after execution.
 class ReadBatch {
@@ -85,13 +92,13 @@ class ReadBatch {
   BatchLockOrder lock_order() const { return lock_order_; }
 
   // Result accessors; valid only after a successful Execute (or, on the
-  // pipelined path, after the batch's PendingBatch::Wait succeeded).
+  // pipelined path, after the batch's kv::Pending::Wait succeeded).
   const std::optional<Row>& row(size_t slot) const;
   const std::vector<Row>& rows(size_t slot) const;
 
  private:
-  friend class Transaction;
-  friend class ::hops::kv::OccTxn;  // the OCC backend executes batches too
+  friend class ::hops::kv::TxnSkeleton;  // routes and executes the ops
+  friend class Transaction;              // 2PL: locks a routed window's rows
   struct Op {
     enum class Kind : uint8_t { kGet, kScan };
     Kind kind = Kind::kGet;
@@ -111,9 +118,9 @@ class ReadBatch {
   bool executed_ = false;
 };
 
-// A staged set of writes locked and validated together by
-// Transaction::Execute (the staged rows are applied at commit, as for the
-// per-row write calls), or pipelined through Transaction::ExecuteAsync. On
+// A staged set of writes claimed and validated together by
+// kv::Txn::Execute (the staged rows are applied at commit, as for the
+// per-row write calls), or pipelined through kv::Txn::ExecuteAsync. On
 // error the batch is partially staged; callers are
 // expected to abort the transaction, as they would after any failed write.
 class WriteBatch {
@@ -131,8 +138,8 @@ class WriteBatch {
   bool executed() const { return executed_; }
 
  private:
-  friend class Transaction;
-  friend class ::hops::kv::OccTxn;  // the OCC backend executes batches too
+  friend class ::hops::kv::TxnSkeleton;  // routes and executes the ops
+  friend class Transaction;              // 2PL: locks a routed window's rows
   struct Op {
     enum class Kind : uint8_t { kInsert, kUpdate, kWrite, kDelete };
     Kind kind = Kind::kWrite;

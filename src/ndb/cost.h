@@ -17,15 +17,13 @@ namespace hops::ndb {
 
 enum class AccessKind : uint8_t {
   kPkRead,         // single-row primary key read
-  kPkWrite,        // eager lock acquisition for a staged write
+  kPkWrite,        // claim (2PL: eager lock) for a staged write
   kBatchRead,      // batched primary key reads (one round trip)
   kPpis,           // partition-pruned index scan (single partition)
   kIndexScan,      // ordered index scan over all partitions
   kFullTableScan,  // unindexed scan over all partitions
   kCommit,         // 2PC flush of the write set
 };
-
-std::string_view AccessKindName(AccessKind kind);
 
 // One partition's share of a logical database access.
 struct PartTouch {

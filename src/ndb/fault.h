@@ -8,7 +8,7 @@
 // A latency spike simply sleeps the accessing thread, modelling a slow disk
 // or a GC pause on the data node serving the table's partitions.
 //
-// The injector is owned by the Cluster and always present; the `armed_`
+// The injector is owned by the engine and always present; the `armed_`
 // atomic keeps the disarmed fast path to a single relaxed load so regular
 // runs pay nothing.
 #pragma once

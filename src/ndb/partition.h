@@ -19,24 +19,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "kv/skeleton.h"
 #include "ndb/value.h"
 #include "util/status.h"
 
 namespace hops::ndb {
 
-using TxId = uint64_t;
-
-enum class LockMode : uint8_t { kReadCommitted, kShared, kExclusive };
-
-class Partition {
+class Partition final : public kv::PartitionStore {
  public:
-  explicit Partition(uint32_t id) : id_(id) {}
-
-  Partition(const Partition&) = delete;
-  Partition& operator=(const Partition&) = delete;
-
-  uint32_t id() const { return id_; }
-
   // --- Locking -------------------------------------------------------------
   // Blocks until granted or until `deadline`; kReadCommitted is a no-op.
   // A holder of an exclusive lock is granted any further request on the same
@@ -62,8 +52,8 @@ class Partition {
   // ("" = whole partition). Returns pairs of (encoded key, row).
   std::vector<std::pair<std::string, Row>> SnapshotPrefix(const std::string& prefix) const;
 
-  size_t row_count() const;
-  size_t data_bytes() const;  // committed payload + key bytes
+  size_t row_count() const override;
+  size_t data_bytes() const override;  // committed payload + key bytes
 
  private:
   struct LockState {
@@ -74,7 +64,6 @@ class Partition {
 
   bool Grantable(const LockState& ls, TxId tx, LockMode mode) const;
 
-  const uint32_t id_;
   mutable std::mutex mu_;
   std::condition_variable lock_released_;
   std::map<std::string, Row> rows_;                    // primary ordered index

@@ -39,5 +39,6 @@ struct Schema {
 };
 
 using TableId = uint32_t;
+using TxId = uint64_t;
 
 }  // namespace hops::ndb

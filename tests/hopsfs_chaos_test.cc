@@ -19,7 +19,7 @@
 
 #include "chaos/chaos.h"
 #include "hopsfs/mini_cluster.h"
-#include "ndb/fault.h"
+#include "ndb/cluster.h"
 
 namespace hops::chaos {
 namespace {

@@ -79,7 +79,9 @@ TEST_F(IntentLogTest, CreateAcksBeforeApplyAndReadWaitsForIt) {
   std::thread reader([&] {
     auto info = nn.GetFileInfo("/d/f");
     EXPECT_TRUE(info.ok()) << info.status().ToString();
-    if (info.ok()) EXPECT_FALSE(info->is_dir);
+    if (info.ok()) {
+      EXPECT_FALSE(info->is_dir);
+    }
     stat_done.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));

@@ -176,7 +176,9 @@ class PropertyTest : public ::testing::TestWithParam<PropertyParam> {
         const auto& [name, is_dir, size] = (*ref_listing)[i];
         EXPECT_EQ(got.name, name) << dir;
         EXPECT_EQ(got.is_dir, is_dir) << dir << "/" << name;
-        if (!is_dir) EXPECT_EQ(got.size, size) << dir << "/" << name;
+        if (!is_dir) {
+          EXPECT_EQ(got.size, size) << dir << "/" << name;
+        }
         if (is_dir) frontier.push_back(dir == "/" ? "/" + name : dir + "/" + name);
       }
     }
@@ -219,7 +221,9 @@ TEST_P(PropertyTest, RandomOpsMatchReferenceModel) {
         bool ref_ok = ref.CreateFile(p1, size);
         hops::Status st = client.CreateFile(p1);
         if (st.ok()) {
-          if (size > 0) ASSERT_TRUE(client.AddBlock(p1, size).ok());
+          if (size > 0) {
+            ASSERT_TRUE(client.AddBlock(p1, size).ok());
+          }
           ASSERT_TRUE(client.CompleteFile(p1).ok());
         }
         EXPECT_EQ(st.ok(), ref_ok) << "create " << p1 << ": " << st.ToString();

@@ -1,29 +1,30 @@
-// The async pipelined batch engine: ExecuteAsync/PendingBatch semantics --
+// The async pipelined batch engine: ExecuteAsync/Pending semantics --
 // deferred execution, overlapped round-trip windows, the in-flight limit,
 // out-of-order completion delivery, read-your-writes across pipelined
 // batches, error delivery through handles, and deadlock freedom when two
-// transactions each hold several batches in flight.
+// transactions each hold several batches in flight. Every case runs on both
+// engines.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "ndb/cluster.h"
+#include "kv/kv.h"
 
-namespace hops::ndb {
+namespace hops::kv {
 namespace {
 
-class NdbAsyncTest : public ::testing::Test {
+class NdbAsyncTest : public ::testing::TestWithParam<EngineKind> {
  protected:
   void SetUp() override {
-    cluster_ = std::make_unique<Cluster>(ClusterConfig{
-        .num_datanodes = 4,
-        .replication = 2,
-        .partitions_per_table = 8,
-        .lock_wait_timeout = std::chrono::milliseconds(400),
-        .max_in_flight_batches = 4,
-    });
+    EngineConfig config;
+    config.num_datanodes = 4;
+    config.replication = 2;
+    config.partitions_per_table = 8;
+    config.lock_wait_timeout = std::chrono::milliseconds(400);
+    config.max_in_flight_batches = 4;
+    cluster_ = MakeEngine(GetParam(), config);
     Schema s;
     s.table_name = "t";
     s.columns = {{"parent", ColumnType::kInt64},
@@ -47,11 +48,11 @@ class NdbAsyncTest : public ::testing::Test {
     return b;
   }
 
-  std::unique_ptr<Cluster> cluster_;
+  std::unique_ptr<Engine> cluster_;
   TableId table_ = 0;
 };
 
-TEST_F(NdbAsyncTest, WindowFlushesAsOneOverlappedRoundTrip) {
+TEST_P(NdbAsyncTest, WindowFlushesAsOneOverlappedRoundTrip) {
   for (int64_t p = 0; p < 8; ++p) MustInsert(p, "f", p);
   auto tx = cluster_->Begin();
   tx->EnableTrace();
@@ -88,12 +89,12 @@ TEST_F(NdbAsyncTest, WindowFlushesAsOneOverlappedRoundTrip) {
   EXPECT_EQ((*b3.row(1))[2].i64(), 5);
 }
 
-TEST_F(NdbAsyncTest, InFlightLimitForcesAFlush) {
+TEST_P(NdbAsyncTest, InFlightLimitForcesAFlush) {
   for (int64_t p = 0; p < 8; ++p) MustInsert(p, "f", p);
   auto tx = cluster_->Begin();
   std::vector<ReadBatch> batches;
   batches.reserve(5);
-  std::vector<PendingBatch> pending;
+  std::vector<Pending> pending;
   auto before = cluster_->StatsSnapshot();
   for (int64_t i = 0; i < 5; ++i) {
     batches.push_back(MakeGets(table_, {i}));
@@ -110,7 +111,7 @@ TEST_F(NdbAsyncTest, InFlightLimitForcesAFlush) {
   EXPECT_EQ(cluster_->StatsSnapshot().round_trips - before.round_trips, 2u);
 }
 
-TEST_F(NdbAsyncTest, OutOfOrderCompletionDelivery) {
+TEST_P(NdbAsyncTest, OutOfOrderCompletionDelivery) {
   MustInsert(1, "f", 10);
   MustInsert(2, "f", 20);
   auto tx = cluster_->Begin();
@@ -131,7 +132,7 @@ TEST_F(NdbAsyncTest, OutOfOrderCompletionDelivery) {
   EXPECT_TRUE(p2.Wait().ok());
 }
 
-TEST_F(NdbAsyncTest, ReadYourWritesAcrossPipelinedBatches) {
+TEST_P(NdbAsyncTest, ReadYourWritesAcrossPipelinedBatches) {
   MustInsert(1, "old", 1);
   auto tx = cluster_->Begin();
   WriteBatch writes;
@@ -154,7 +155,7 @@ TEST_F(NdbAsyncTest, ReadYourWritesAcrossPipelinedBatches) {
   ASSERT_TRUE(tx->Commit().ok());
 }
 
-TEST_F(NdbAsyncTest, ErrorsDeliverThroughHandles) {
+TEST_P(NdbAsyncTest, ErrorsDeliverThroughHandles) {
   MustInsert(1, "dup", 1);
   auto tx = cluster_->Begin();
   ReadBatch ok_reads = MakeGets(table_, {1});
@@ -177,7 +178,7 @@ TEST_F(NdbAsyncTest, ErrorsDeliverThroughHandles) {
   EXPECT_FALSE(tx->active());
 }
 
-TEST_F(NdbAsyncTest, CommitSurfacesAnUnobservedBatchFailure) {
+TEST_P(NdbAsyncTest, CommitSurfacesAnUnobservedBatchFailure) {
   MustInsert(1, "dup", 1);
   auto tx = cluster_->Begin();
   WriteBatch bad;
@@ -191,7 +192,7 @@ TEST_F(NdbAsyncTest, CommitSurfacesAnUnobservedBatchFailure) {
   EXPECT_EQ(p_bad.Wait().code(), hops::StatusCode::kAlreadyExists);
 }
 
-TEST_F(NdbAsyncTest, CommitIsAFlushPoint) {
+TEST_P(NdbAsyncTest, CommitIsAFlushPoint) {
   auto tx = cluster_->Begin();
   WriteBatch writes;
   writes.Insert(table_, Row{int64_t{3}, "via-commit", int64_t{7}});
@@ -204,7 +205,7 @@ TEST_F(NdbAsyncTest, CommitIsAFlushPoint) {
   EXPECT_TRUE(check->Read(table_, {int64_t{3}, "via-commit"}, LockMode::kReadCommitted).ok());
 }
 
-TEST_F(NdbAsyncTest, SyncOperationsFlushThePipeline) {
+TEST_P(NdbAsyncTest, SyncOperationsFlushThePipeline) {
   auto tx = cluster_->Begin();
   WriteBatch writes;
   writes.Insert(table_, Row{int64_t{4}, "pipelined", int64_t{1}});
@@ -216,7 +217,7 @@ TEST_F(NdbAsyncTest, SyncOperationsFlushThePipeline) {
   ASSERT_TRUE(tx->Commit().ok());
 }
 
-TEST_F(NdbAsyncTest, AbortFailsInFlightBatches) {
+TEST_P(NdbAsyncTest, AbortFailsInFlightBatches) {
   auto tx = cluster_->Begin();
   ReadBatch reads = MakeGets(table_, {1});
   auto p = tx->ExecuteAsync(reads);
@@ -229,7 +230,7 @@ TEST_F(NdbAsyncTest, AbortFailsInFlightBatches) {
 // flush acquires every window's locks in the global (table, partition, key)
 // order ACROSS batches, so the windows queue behind each other instead of
 // deadlocking into lock-wait timeouts.
-TEST_F(NdbAsyncTest, CrossingInFlightWindowsDoNotDeadlock) {
+TEST_P(NdbAsyncTest, CrossingInFlightWindowsDoNotDeadlock) {
   constexpr int kRows = 12;
   constexpr int kIters = 25;
   for (int64_t i = 0; i < kRows; ++i) MustInsert(i, "f", i);
@@ -248,7 +249,7 @@ TEST_F(NdbAsyncTest, CrossingInFlightWindowsDoNotDeadlock) {
           batches[static_cast<size_t>(b)].Get(table_, {row, "f"}, LockMode::kExclusive);
         }
       }
-      std::vector<PendingBatch> pending;
+      std::vector<Pending> pending;
       for (auto& b : batches) pending.push_back(tx->ExecuteAsync(b));
       bool ok = true;
       for (auto& p : pending) ok &= p.Wait().ok();
@@ -263,7 +264,7 @@ TEST_F(NdbAsyncTest, CrossingInFlightWindowsDoNotDeadlock) {
   EXPECT_EQ(cluster_->StatsSnapshot().lock_timeouts, 0u);
 }
 
-TEST_F(NdbAsyncTest, DoubleExecuteIsRejectedThroughTheAsyncPath) {
+TEST_P(NdbAsyncTest, DoubleExecuteIsRejectedThroughTheAsyncPath) {
   MustInsert(1, "f", 1);
   auto tx = cluster_->Begin();
   ReadBatch b = MakeGets(table_, {1});
@@ -271,7 +272,7 @@ TEST_F(NdbAsyncTest, DoubleExecuteIsRejectedThroughTheAsyncPath) {
   EXPECT_EQ(tx->ExecuteAsync(b).Wait().code(), hops::StatusCode::kInvalidArgument);
 }
 
-TEST_F(NdbAsyncTest, EmptyBatchCompletesImmediately) {
+TEST_P(NdbAsyncTest, EmptyBatchCompletesImmediately) {
   auto tx = cluster_->Begin();
   ReadBatch empty;
   auto p = tx->ExecuteAsync(empty);
@@ -280,5 +281,12 @@ TEST_F(NdbAsyncTest, EmptyBatchCompletesImmediately) {
   EXPECT_EQ(tx->InFlightBatches(), 0u);
 }
 
+std::string EngineName(const ::testing::TestParamInfo<EngineKind>& info) {
+  return std::string(EngineKindName(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, NdbAsyncTest,
+                         ::testing::Values(EngineKind::kNdb, EngineKind::kOcc), EngineName);
+
 }  // namespace
-}  // namespace hops::ndb
+}  // namespace hops::kv

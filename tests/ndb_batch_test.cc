@@ -4,7 +4,8 @@
 // partition's whole node group is down, and concurrent transactions each
 // flushing their own pipelined windows: isolation between them, errors and
 // lock-wait timeouts that stay with their own transaction, and exact trip
-// accounting across many threads.
+// accounting across many threads. Every case but the lock-wait timeout runs
+// on both engines.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,20 +13,20 @@
 #include <thread>
 #include <vector>
 
-#include "ndb/cluster.h"
+#include "kv/kv.h"
 
-namespace hops::ndb {
+namespace hops::kv {
 namespace {
 
-class NdbBatchTest : public ::testing::Test {
+class NdbBatchTest : public ::testing::TestWithParam<EngineKind> {
  protected:
   void SetUp() override {
-    cluster_ = std::make_unique<Cluster>(ClusterConfig{
-        .num_datanodes = 4,
-        .replication = 2,
-        .partitions_per_table = 8,
-        .lock_wait_timeout = std::chrono::milliseconds(400),
-    });
+    EngineConfig config;
+    config.num_datanodes = 4;
+    config.replication = 2;
+    config.partitions_per_table = 8;
+    config.lock_wait_timeout = std::chrono::milliseconds(400);
+    cluster_ = MakeEngine(GetParam(), config);
     Schema s;
     s.table_name = "inodes";
     s.columns = {{"parent", ColumnType::kInt64},
@@ -48,12 +49,12 @@ class NdbBatchTest : public ::testing::Test {
     ASSERT_TRUE(tx->Commit().ok());
   }
 
-  std::unique_ptr<Cluster> cluster_;
+  std::unique_ptr<Engine> cluster_;
   TableId table_ = 0;
   TableId blocks_ = 0;
 };
 
-TEST_F(NdbBatchTest, GroupsKeysByPartitionInOneRoundTrip) {
+TEST_P(NdbBatchTest, GroupsKeysByPartitionInOneRoundTrip) {
   for (int64_t p = 0; p < 16; ++p) MustInsert(p, "f", p * 10);
   auto tx = cluster_->Begin();
   tx->EnableTrace();
@@ -84,7 +85,7 @@ TEST_F(NdbBatchTest, GroupsKeysByPartitionInOneRoundTrip) {
   EXPECT_EQ(rows, 16u);
 }
 
-TEST_F(NdbBatchTest, MixedGetAndScanBatchIsOneRoundTrip) {
+TEST_P(NdbBatchTest, MixedGetAndScanBatchIsOneRoundTrip) {
   MustInsert(1, "a", 10);
   {
     auto tx = cluster_->Begin();
@@ -105,7 +106,7 @@ TEST_F(NdbBatchTest, MixedGetAndScanBatchIsOneRoundTrip) {
       << "a cross-table batch still costs one round trip";
 }
 
-TEST_F(NdbBatchTest, BatchSeesOwnStagedWrites) {
+TEST_P(NdbBatchTest, BatchSeesOwnStagedWrites) {
   MustInsert(1, "keep", 1);
   MustInsert(1, "gone", 2);
   auto tx = cluster_->Begin();
@@ -124,7 +125,7 @@ TEST_F(NdbBatchTest, BatchSeesOwnStagedWrites) {
   EXPECT_EQ(batch.rows(scan).size(), 2u) << "scan overlays the staged writes";
 }
 
-TEST_F(NdbBatchTest, ExecuteTwiceIsRejected) {
+TEST_P(NdbBatchTest, ExecuteTwiceIsRejected) {
   MustInsert(1, "a", 10);
   auto tx = cluster_->Begin();
   ReadBatch batch;
@@ -133,7 +134,7 @@ TEST_F(NdbBatchTest, ExecuteTwiceIsRejected) {
   EXPECT_EQ(tx->Execute(batch).code(), hops::StatusCode::kInvalidArgument);
 }
 
-TEST_F(NdbBatchTest, ConcurrentOpposedBatchesDoNotDeadlock) {
+TEST_P(NdbBatchTest, ConcurrentOpposedBatchesDoNotDeadlock) {
   // Two transactions lock the same 8 rows, staged in opposite orders. With
   // per-op acquisition this interleaving deadlocks (resolved only by the
   // lock-wait timeout); the batch's global (table, partition, key) order
@@ -162,7 +163,7 @@ TEST_F(NdbBatchTest, ConcurrentOpposedBatchesDoNotDeadlock) {
   EXPECT_EQ(cluster_->StatsSnapshot().lock_timeouts, 0u);
 }
 
-TEST_F(NdbBatchTest, UnlockRowReleasesADiscardedBatchLock) {
+TEST_P(NdbBatchTest, UnlockRowReleasesADiscardedBatchLock) {
   MustInsert(1, "a", 10);
   auto tx = cluster_->Begin();
   ReadBatch batch;
@@ -183,7 +184,7 @@ TEST_F(NdbBatchTest, UnlockRowReleasesADiscardedBatchLock) {
   EXPECT_FALSE(res.ok()) << "the staged write's lock must survive UnlockRow";
 }
 
-TEST_F(NdbBatchTest, WriteBatchStagesAtomicallyAndCountsOneRoundTrip) {
+TEST_P(NdbBatchTest, WriteBatchStagesAtomicallyAndCountsOneRoundTrip) {
   MustInsert(1, "old", 1);
   MustInsert(1, "dead", 2);
   auto tx = cluster_->Begin();
@@ -211,7 +212,7 @@ TEST_F(NdbBatchTest, WriteBatchStagesAtomicallyAndCountsOneRoundTrip) {
   EXPECT_FALSE(check->Read(table_, {int64_t{1}, "dead"}, LockMode::kReadCommitted).ok());
 }
 
-TEST_F(NdbBatchTest, WriteBatchValidatesLikeIndividualOps) {
+TEST_P(NdbBatchTest, WriteBatchValidatesLikeIndividualOps) {
   MustInsert(1, "a", 1);
   {
     auto tx = cluster_->Begin();
@@ -233,7 +234,7 @@ TEST_F(NdbBatchTest, WriteBatchValidatesLikeIndividualOps) {
   }
 }
 
-TEST_F(NdbBatchTest, BatchFailsWhenNodeGroupIsDown) {
+TEST_P(NdbBatchTest, BatchFailsWhenNodeGroupIsDown) {
   for (int64_t p = 0; p < 32; ++p) MustInsert(p, "f", p);
   // 4 datanodes, replication 2 => groups {0,1} and {2,3}. Killing both
   // members of group 0 takes down every even-numbered partition.
@@ -259,7 +260,7 @@ TEST_F(NdbBatchTest, BatchFailsWhenNodeGroupIsDown) {
 // Two transactions with windows in flight at once stay isolated: the
 // reader's window sees the committed value, never the writer's staged row,
 // while the writer reads its own write through a later window.
-TEST_F(NdbBatchTest, ReadYourWritesStaysWithinEachConcurrentTransaction) {
+TEST_P(NdbBatchTest, ReadYourWritesStaysWithinEachConcurrentTransaction) {
   MustInsert(7, "shared", 1);
   auto writer = cluster_->Begin();
   auto reader = cluster_->Begin();
@@ -290,7 +291,7 @@ TEST_F(NdbBatchTest, ReadYourWritesStaysWithinEachConcurrentTransaction) {
 
 // A failing window poisons only its own transaction; a concurrent healthy
 // transaction's window completes and commits.
-TEST_F(NdbBatchTest, WindowErrorReachesOnlyItsOwnTransaction) {
+TEST_P(NdbBatchTest, WindowErrorReachesOnlyItsOwnTransaction) {
   MustInsert(3, "dup", 1);
   MustInsert(4, "f", 4);
   auto bad_tx = cluster_->Begin();
@@ -315,7 +316,10 @@ TEST_F(NdbBatchTest, WindowErrorReachesOnlyItsOwnTransaction) {
 
 // A window blocked on a row whose holder never commits reports kLockTimeout
 // through its handle and aborts its own transaction; the holder is unharmed.
-TEST_F(NdbBatchTest, LockWaitTimeoutAbortsOnlyTheWaitingTransaction) {
+// 2PL only: OCC takes no row locks, so nothing ever waits for one.
+class NdbBatchLockWaitTest : public NdbBatchTest {};
+
+TEST_P(NdbBatchLockWaitTest, LockWaitTimeoutAbortsOnlyTheWaitingTransaction) {
   MustInsert(5, "held", 1);
   auto holder = cluster_->Begin();
   ASSERT_TRUE(holder->Read(table_, {int64_t{5}, "held"}, LockMode::kExclusive).ok());
@@ -334,7 +338,7 @@ TEST_F(NdbBatchTest, LockWaitTimeoutAbortsOnlyTheWaitingTransaction) {
 // N threads x M windows of K batches each, every thread flushing its own
 // transaction's windows: each window is one trip, and round_trips +
 // overlapped_round_trips stays the sync-equivalent trip count.
-TEST_F(NdbBatchTest, ManyThreadsManyWindowsReconcileExactly) {
+TEST_P(NdbBatchTest, ManyThreadsManyWindowsReconcileExactly) {
   constexpr int kTx = 4, kWindows = 3, kBatches = 2;
   for (int64_t p = 0; p < 8; ++p) MustInsert(p, "f", p);
   auto before = cluster_->StatsSnapshot();
@@ -345,7 +349,7 @@ TEST_F(NdbBatchTest, ManyThreadsManyWindowsReconcileExactly) {
       auto tx = cluster_->Begin();
       for (int w = 0; w < kWindows; ++w) {
         std::vector<ReadBatch> batches(kBatches);
-        std::vector<PendingBatch> pending;
+        std::vector<Pending> pending;
         for (int b = 0; b < kBatches; ++b) {
           batches[static_cast<size_t>(b)].Get(table_, {int64_t{(t + w + b) % 8}, "f"});
           pending.push_back(tx->ExecuteAsync(batches[static_cast<size_t>(b)]));
@@ -371,5 +375,14 @@ TEST_F(NdbBatchTest, ManyThreadsManyWindowsReconcileExactly) {
   EXPECT_EQ(after.lock_timeouts - before.lock_timeouts, 0u);
 }
 
+std::string EngineName(const ::testing::TestParamInfo<EngineKind>& info) {
+  return std::string(EngineKindName(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, NdbBatchTest,
+                         ::testing::Values(EngineKind::kNdb, EngineKind::kOcc), EngineName);
+INSTANTIATE_TEST_SUITE_P(Engines, NdbBatchLockWaitTest, ::testing::Values(EngineKind::kNdb),
+                         EngineName);
+
 }  // namespace
-}  // namespace hops::ndb
+}  // namespace hops::kv

@@ -155,7 +155,7 @@ TEST_F(NdbConcurrencyTest, TakeAndReleaseWaitsOutWriters) {
   std::atomic<bool> scan_done{false};
   std::thread scanner([&] {
     auto tx = cluster_->Begin();
-    Transaction::ScanOptions opts;
+    ScanOptions opts;
     opts.lock = LockMode::kExclusive;
     opts.take_and_release = true;
     auto rows = tx->FullTableScan(table_, opts);
@@ -182,7 +182,7 @@ TEST_F(NdbConcurrencyTest, LockedScanRereadsRowsChangedWhileWaiting) {
   std::atomic<int64_t> seen{-1};
   std::thread scanner([&] {
     auto tx = cluster_->Begin();
-    Transaction::ScanOptions opts;
+    ScanOptions opts;
     opts.lock = LockMode::kShared;
     opts.predicate = [](const Row& r) { return r[0].i64() == 3; };
     auto rows = tx->FullTableScan(table_, opts);

@@ -1,21 +1,22 @@
 // Transaction semantics: CRUD, read-your-writes, atomic commit/abort,
 // scans (PPIS vs index scan vs full scan), cost traces, failure injection.
+// Every case runs on both engines.
 #include <gtest/gtest.h>
 
-#include "ndb/cluster.h"
+#include "kv/kv.h"
 #include "util/hash.h"
 
-namespace hops::ndb {
+namespace hops::kv {
 namespace {
 
-class NdbTxTest : public ::testing::Test {
+class NdbTxTest : public ::testing::TestWithParam<EngineKind> {
  protected:
   void SetUp() override {
-    cluster_ = std::make_unique<Cluster>(ClusterConfig{
-        .num_datanodes = 4,
-        .replication = 2,
-        .lock_wait_timeout = std::chrono::milliseconds(200),
-    });
+    EngineConfig config;
+    config.num_datanodes = 4;
+    config.replication = 2;
+    config.lock_wait_timeout = std::chrono::milliseconds(200);
+    cluster_ = MakeEngine(GetParam(), config);
     // inode-like table: PK (parent, name), partitioned by parent.
     Schema s;
     s.table_name = "inodes";
@@ -38,11 +39,11 @@ class NdbTxTest : public ::testing::Test {
     ASSERT_TRUE(tx->Commit().ok());
   }
 
-  std::unique_ptr<Cluster> cluster_;
+  std::unique_ptr<Engine> cluster_;
   TableId table_ = 0;
 };
 
-TEST_F(NdbTxTest, InsertReadCommit) {
+TEST_P(NdbTxTest, InsertReadCommit) {
   MustInsert(1, "foo", 100);
   auto tx = cluster_->Begin();
   auto row = tx->Read(table_, {int64_t{1}, "foo"}, LockMode::kReadCommitted);
@@ -50,25 +51,25 @@ TEST_F(NdbTxTest, InsertReadCommit) {
   EXPECT_EQ((*row)[2].i64(), 100);
 }
 
-TEST_F(NdbTxTest, ReadMissingRowIsNotFound) {
+TEST_P(NdbTxTest, ReadMissingRowIsNotFound) {
   auto tx = cluster_->Begin();
   auto row = tx->Read(table_, {int64_t{1}, "nope"}, LockMode::kShared);
   EXPECT_EQ(row.status().code(), hops::StatusCode::kNotFound);
 }
 
-TEST_F(NdbTxTest, DuplicateInsertRejected) {
+TEST_P(NdbTxTest, DuplicateInsertRejected) {
   MustInsert(1, "foo", 100);
   auto tx = cluster_->Begin();
   EXPECT_EQ(tx->Insert(table_, MakeRow(1, "foo", 200)).code(),
             hops::StatusCode::kAlreadyExists);
 }
 
-TEST_F(NdbTxTest, UpdateRequiresExistingRow) {
+TEST_P(NdbTxTest, UpdateRequiresExistingRow) {
   auto tx = cluster_->Begin();
   EXPECT_EQ(tx->Update(table_, MakeRow(1, "foo", 1)).code(), hops::StatusCode::kNotFound);
 }
 
-TEST_F(NdbTxTest, DeleteThenReadSameTx) {
+TEST_P(NdbTxTest, DeleteThenReadSameTx) {
   MustInsert(1, "foo", 100);
   auto tx = cluster_->Begin();
   ASSERT_TRUE(tx->Delete(table_, {int64_t{1}, "foo"}).ok());
@@ -80,7 +81,7 @@ TEST_F(NdbTxTest, DeleteThenReadSameTx) {
             hops::StatusCode::kNotFound);
 }
 
-TEST_F(NdbTxTest, ReadYourOwnWrites) {
+TEST_P(NdbTxTest, ReadYourOwnWrites) {
   auto tx = cluster_->Begin();
   ASSERT_TRUE(tx->Insert(table_, MakeRow(1, "foo", 100)).ok());
   auto row = tx->Read(table_, {int64_t{1}, "foo"}, LockMode::kExclusive);
@@ -88,7 +89,7 @@ TEST_F(NdbTxTest, ReadYourOwnWrites) {
   EXPECT_EQ((*row)[2].i64(), 100);
 }
 
-TEST_F(NdbTxTest, AbortDiscardsStagedWrites) {
+TEST_P(NdbTxTest, AbortDiscardsStagedWrites) {
   auto tx = cluster_->Begin();
   ASSERT_TRUE(tx->Insert(table_, MakeRow(1, "foo", 100)).ok());
   tx->Abort();
@@ -97,7 +98,7 @@ TEST_F(NdbTxTest, AbortDiscardsStagedWrites) {
             hops::StatusCode::kNotFound);
 }
 
-TEST_F(NdbTxTest, UncommittedWritesInvisibleToOthers) {
+TEST_P(NdbTxTest, UncommittedWritesInvisibleToOthers) {
   auto tx = cluster_->Begin();
   ASSERT_TRUE(tx->Insert(table_, MakeRow(1, "foo", 100)).ok());
   {
@@ -112,7 +113,7 @@ TEST_F(NdbTxTest, UncommittedWritesInvisibleToOthers) {
   EXPECT_TRUE(after->Read(table_, {int64_t{1}, "foo"}, LockMode::kReadCommitted).ok());
 }
 
-TEST_F(NdbTxTest, ReadCommittedSeesOldValueDuringConcurrentUpdate) {
+TEST_P(NdbTxTest, ReadCommittedSeesOldValueDuringConcurrentUpdate) {
   MustInsert(1, "foo", 100);
   auto writer = cluster_->Begin();
   ASSERT_TRUE(writer->Update(table_, MakeRow(1, "foo", 999)).ok());
@@ -126,7 +127,7 @@ TEST_F(NdbTxTest, ReadCommittedSeesOldValueDuringConcurrentUpdate) {
   EXPECT_EQ((*row2)[2].i64(), 999) << "fuzzy read is permitted at read-committed";
 }
 
-TEST_F(NdbTxTest, MultiPartitionCommitIsApplied) {
+TEST_P(NdbTxTest, MultiPartitionCommitIsApplied) {
   auto tx = cluster_->Begin();
   for (int64_t parent = 0; parent < 20; ++parent) {
     ASSERT_TRUE(tx->Insert(table_, MakeRow(parent, "f", parent * 10)).ok());
@@ -140,7 +141,7 @@ TEST_F(NdbTxTest, MultiPartitionCommitIsApplied) {
   }
 }
 
-TEST_F(NdbTxTest, BatchReadAlignsResults) {
+TEST_P(NdbTxTest, BatchReadAlignsResults) {
   MustInsert(1, "a", 10);
   MustInsert(2, "b", 20);
   auto tx = cluster_->Begin();
@@ -156,7 +157,7 @@ TEST_F(NdbTxTest, BatchReadAlignsResults) {
   EXPECT_EQ((*(*res)[2])[2].i64(), 20);
 }
 
-TEST_F(NdbTxTest, PpisReturnsOnlyChildrenOfParent) {
+TEST_P(NdbTxTest, PpisReturnsOnlyChildrenOfParent) {
   for (int i = 0; i < 10; ++i) MustInsert(7, "c" + std::to_string(i), 100 + i);
   MustInsert(8, "other", 500);
   auto tx = cluster_->Begin();
@@ -166,7 +167,7 @@ TEST_F(NdbTxTest, PpisReturnsOnlyChildrenOfParent) {
   for (const auto& r : *rows) EXPECT_EQ(r[0].i64(), 7);
 }
 
-TEST_F(NdbTxTest, PpisSeesOwnStagedWrites) {
+TEST_P(NdbTxTest, PpisSeesOwnStagedWrites) {
   MustInsert(7, "a", 1);
   auto tx = cluster_->Begin();
   ASSERT_TRUE(tx->Insert(table_, MakeRow(7, "b", 2)).ok());
@@ -177,17 +178,17 @@ TEST_F(NdbTxTest, PpisSeesOwnStagedWrites) {
   EXPECT_EQ((*rows)[0][1].str(), "b");
 }
 
-TEST_F(NdbTxTest, IndexScanFindsRowsAcrossPartitions) {
+TEST_P(NdbTxTest, IndexScanFindsRowsAcrossPartitions) {
   for (int64_t parent = 0; parent < 16; ++parent) MustInsert(parent, "x", parent);
   auto tx = cluster_->Begin();
-  Transaction::ScanOptions opts;
+  ScanOptions opts;
   opts.eq_filter = {{1, Value("x")}};
   auto rows = tx->IndexScan(table_, {}, opts);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 16u);
 }
 
-TEST_F(NdbTxTest, FullTableScanSeesEverything) {
+TEST_P(NdbTxTest, FullTableScanSeesEverything) {
   for (int64_t parent = 0; parent < 12; ++parent) {
     MustInsert(parent, "a", parent);
     MustInsert(parent, "b", parent + 100);
@@ -198,17 +199,17 @@ TEST_F(NdbTxTest, FullTableScanSeesEverything) {
   EXPECT_EQ(rows->size(), 24u);
 }
 
-TEST_F(NdbTxTest, ScanWithPredicate) {
+TEST_P(NdbTxTest, ScanWithPredicate) {
   for (int i = 0; i < 10; ++i) MustInsert(3, "f" + std::to_string(i), i);
   auto tx = cluster_->Begin();
-  Transaction::ScanOptions opts;
+  ScanOptions opts;
   opts.predicate = [](const Row& r) { return r[2].i64() % 2 == 0; };
   auto rows = tx->Ppis(table_, {int64_t{3}}, opts);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 5u);
 }
 
-TEST_F(NdbTxTest, ExplicitPartitionValueRouting) {
+TEST_P(NdbTxTest, ExplicitPartitionValueRouting) {
   Schema s;
   s.table_name = "adp";
   s.columns = {{"parent", ColumnType::kInt64},
@@ -241,7 +242,7 @@ TEST_F(NdbTxTest, ExplicitPartitionValueRouting) {
   }
 }
 
-TEST_F(NdbTxTest, CostTraceOrdersAccessPaths) {
+TEST_P(NdbTxTest, CostTraceOrdersAccessPaths) {
   // Figure 2's premise: PK and batched ops touch one/few partitions, PPIS
   // touches exactly one, IS/FTS touch all.
   for (int i = 0; i < 50; ++i) MustInsert(5, "f" + std::to_string(i), i);
@@ -262,7 +263,7 @@ TEST_F(NdbTxTest, CostTraceOrdersAccessPaths) {
   EXPECT_EQ(trace.accesses[2].parts.size(), cluster_->num_partitions());
 }
 
-TEST_F(NdbTxTest, StatsCountersTrackOperations) {
+TEST_P(NdbTxTest, StatsCountersTrackOperations) {
   cluster_->ResetStats();
   MustInsert(1, "a", 1);
   auto tx = cluster_->Begin();
@@ -277,7 +278,7 @@ TEST_F(NdbTxTest, StatsCountersTrackOperations) {
   EXPECT_EQ(s.rows_written, 1u);
 }
 
-TEST_F(NdbTxTest, CoordinatorFailureAbortsTransaction) {
+TEST_P(NdbTxTest, CoordinatorFailureAbortsTransaction) {
   MustInsert(1, "a", 1);
   auto tx = cluster_->Begin();
   ASSERT_TRUE(tx->Read(table_, {int64_t{1}, "a"}, LockMode::kExclusive).ok());
@@ -294,7 +295,7 @@ TEST_F(NdbTxTest, CoordinatorFailureAbortsTransaction) {
   EXPECT_TRUE(tx2->Read(table_, {int64_t{1}, "a"}, LockMode::kExclusive).ok());
 }
 
-TEST_F(NdbTxTest, CommitFailsWhenCoordinatorDies) {
+TEST_P(NdbTxTest, CommitFailsWhenCoordinatorDies) {
   auto tx = cluster_->Begin();
   ASSERT_TRUE(tx->Insert(table_, MakeRow(1, "b", 2)).ok());
   cluster_->KillDatanode(tx->coordinator());
@@ -306,7 +307,7 @@ TEST_F(NdbTxTest, CommitFailsWhenCoordinatorDies) {
       << "aborted 2PC must not leak writes";
 }
 
-TEST_F(NdbTxTest, WholeGroupDownMakesOperationsUnavailable) {
+TEST_P(NdbTxTest, WholeGroupDownMakesOperationsUnavailable) {
   MustInsert(1, "a", 1);
   cluster_->KillDatanode(0);
   cluster_->KillDatanode(1);
@@ -321,7 +322,7 @@ TEST_F(NdbTxTest, WholeGroupDownMakesOperationsUnavailable) {
   EXPECT_TRUE(saw_unavailable);
 }
 
-TEST_F(NdbTxTest, DestructorAbortsActiveTransaction) {
+TEST_P(NdbTxTest, DestructorAbortsActiveTransaction) {
   {
     auto tx = cluster_->Begin();
     ASSERT_TRUE(tx->Insert(table_, MakeRow(1, "tmp", 1)).ok());
@@ -332,5 +333,12 @@ TEST_F(NdbTxTest, DestructorAbortsActiveTransaction) {
             hops::StatusCode::kNotFound);
 }
 
+std::string EngineName(const ::testing::TestParamInfo<EngineKind>& info) {
+  return std::string(EngineKindName(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, NdbTxTest,
+                         ::testing::Values(EngineKind::kNdb, EngineKind::kOcc), EngineName);
+
 }  // namespace
-}  // namespace hops::ndb
+}  // namespace hops::kv
