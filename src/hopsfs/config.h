@@ -40,11 +40,10 @@ struct FsConfig {
   // Threads deleting subtree phase-3 batches in parallel.
   int subtree_parallelism = 4;
 
-  // Handler threads per namenode (paper §7.1's many-handlers model). Client
-  // requests are enqueued and each handler runs one operation's transaction
-  // at a time, flushing that transaction's windows on its own thread.
-  // 0 = no pool: operations run inline on the calling thread (the
-  // pre-handler-pool behavior).
+  // Handler slots per namenode (paper §7.1's many-handlers model): at most
+  // this many client transactions run on a namenode at once, each on its
+  // caller's thread while it holds a slot; further callers wait in FIFO
+  // order. 0 = no pool: operations run unbounded on the calling thread.
   int num_handlers = 0;
 
   // Heartbeats a namenode may miss before peers consider it dead.

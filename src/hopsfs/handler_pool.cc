@@ -6,73 +6,54 @@ namespace {
 thread_local bool t_on_handler = false;
 }  // namespace
 
-HandlerPool::HandlerPool(int num_handlers) {
-  handlers_.reserve(static_cast<size_t>(num_handlers));
-  for (int i = 0; i < num_handlers; ++i) {
-    handlers_.emplace_back([this] { HandlerLoop(); });
-  }
-}
-
-HandlerPool::~HandlerPool() {
-  // Teardown contract: the namenode (and so its pool) must outlive every
-  // client call -- no thread may still be blocked in Run() here, since it
-  // would be left touching the pool's members as they are destroyed. The
-  // drain below is defensive only: it fails stragglers cleanly instead of
-  // parking them forever, which makes a contract violation loud rather
-  // than silent.
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  work_.notify_all();
-  for (auto& h : handlers_) h.join();
-  std::lock_guard<std::mutex> lk(mu_);
-  for (Request* r : queue_) {
-    r->result = hops::Status::Failover("handler pool stopped");
-    r->done = true;
-  }
-  queue_.clear();
-  done_.notify_all();
-}
-
 bool HandlerPool::OnHandlerThread() { return t_on_handler; }
 
 size_t HandlerPool::queue_depth() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return queue_.size();
+  return waiting_.size();
 }
 
 hops::Status HandlerPool::Run(const std::function<hops::Status()>& op) {
-  Request req;
-  req.op = &op;
-  std::unique_lock<std::mutex> lk(mu_);
-  if (stop_) return hops::Status::Failover("handler pool stopped");
-  queue_.push_back(&req);
-  work_.notify_one();
-  done_.wait(lk, [&] { return req.done; });
-  return req.result;
+  if (t_on_handler) return op();
+  Acquire();
+  struct SlotGuard {
+    HandlerPool* pool;
+    ~SlotGuard() {
+      t_on_handler = false;
+      pool->Release();
+    }
+  } guard{this};
+  t_on_handler = true;
+  return op();
 }
 
-void HandlerPool::HandlerLoop() {
-  t_on_handler = true;
-  for (;;) {
-    Request* req;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      work_.wait(lk, [&] { return stop_ || !queue_.empty(); });
-      if (stop_) return;
-      req = queue_.front();
-      queue_.pop_front();
-    }
-    hops::Status result = (*req->op)();
-    served_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      req->result = std::move(result);
-      req->done = true;
-    }
-    done_.notify_all();
+void HandlerPool::Acquire() {
+  std::unique_lock<std::mutex> lk(mu_);
+  // A free slot is taken only when nobody is queued ahead, so admission
+  // stays in arrival order.
+  if (waiting_.empty() && busy_ < num_handlers_) {
+    ++busy_;
+    return;
   }
+  Waiter self;
+  waiting_.push_back(&self);
+  self.cv.wait(lk, [&] { return self.admitted; });
+}
+
+void HandlerPool::Release() {
+  served_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lk(mu_);
+  if (waiting_.empty()) {
+    --busy_;
+    return;
+  }
+  // Hand the slot straight to the oldest waiter (busy_ is unchanged). The
+  // notify stays under the lock: the waiter's condition variable lives on
+  // its stack and is gone once it returns.
+  Waiter* next = waiting_.front();
+  waiting_.pop_front();
+  next->admitted = true;
+  next->cv.notify_one();
 }
 
 }  // namespace hops::fs

@@ -94,8 +94,8 @@ Namenode::Namenode(kv::Engine* db, const MetadataSchema* schema, const FsConfig*
 }
 
 Namenode::~Namenode() {
-  // The applier issues transactions through the handler pool and may publish
-  // acknowledgments to waiting clients: stop it before anything else.
+  // The applier issues transactions and may publish acknowledgments to
+  // waiting clients: stop it before anything else.
   if (intents_) intents_->Stop();
 }
 
@@ -171,36 +171,26 @@ void Namenode::SetDatanodePicker(std::function<std::vector<DatanodeId>(int)> pic
 // --- Transaction runner ------------------------------------------------------
 
 hops::Status Namenode::RunTx(std::optional<kv::TxHint> hint,
-                             const std::function<hops::Status(kv::Txn&)>& body,
-                             bool inline_read) {
+                             const std::function<hops::Status(kv::Txn&)>& body) {
   int subtree_waits = 0;
   bool want_trace;
   {
     std::lock_guard<std::mutex> lock(trace_mu_);
     want_trace = trace_sink_ != nullptr;
   }
-  // Captured here, NOT in the attempt: a handler-pool dispatch moves the
-  // attempt onto a thread where the applier's thread-local marker is unset.
-  const bool background = IntentLog::OnApplierThread();
-  // With a handler pool, each ATTEMPT is enqueued and a handler thread owns
-  // that transaction end to end, while the retry loop -- and in particular
-  // its subtree-wait backoff sleeps -- stays on the caller's thread. A
-  // waiter must not hold a handler slot while it sleeps: the subtree
-  // operation it is waiting out enqueues its own phase transactions behind
-  // the pool, and sleeping waiters would starve it (priority inversion).
-  // Work already running on a handler (an operation issuing several
-  // transactions) stays on its handler. Applier-issued work stays on its
-  // claimer thread: the apply pool already bounds its own concurrency, and
-  // funneling it through the handler pool would both cap the drain at
-  // num_handlers and let background applies crowd client ops out of the
-  // pool.
-  const bool dispatch =
-      !inline_read && !background && handlers_ != nullptr && !HandlerPool::OnHandlerThread();
+  // With a handler pool, each ATTEMPT holds one handler slot, while the
+  // retry loop -- and in particular its subtree-wait backoff sleeps -- runs
+  // outside it. A waiter must not hold a slot while it sleeps: the subtree
+  // operation it is waiting out needs slots for its own phase transactions,
+  // and sleeping waiters would starve it (priority inversion). Applier-issued
+  // work takes no slot: the apply pool already bounds its own concurrency,
+  // and gating it would both cap the drain at num_handlers and let
+  // background applies crowd client ops out of the pool.
+  const bool gated = handlers_ != nullptr && !IntentLog::OnApplierThread();
   int64_t conflict_deadline_us = 0;  // set by the first OCC conflict
   for (int attempt = 0;;) {
-    hops::Status st =
-        dispatch ? handlers_->Run([&] { return RunTxAttempt(hint, body, want_trace, background); })
-                 : RunTxAttempt(hint, body, want_trace, background);
+    hops::Status st = gated ? handlers_->Run([&] { return RunTxAttempt(hint, body, want_trace); })
+                            : RunTxAttempt(hint, body, want_trace);
     if (st.ok()) return st;
     if (st.code() == hops::StatusCode::kSubtreeLocked) {
       // An active subtree operation owns part of the path: voluntarily back
@@ -243,11 +233,11 @@ hops::Status Namenode::RunTx(std::optional<kv::TxHint> hint,
 
 hops::Status Namenode::RunTxAttempt(std::optional<kv::TxHint> hint,
                                     const std::function<hops::Status(kv::Txn&)>& body,
-                                    bool want_trace, bool background) {
+                                    bool want_trace) {
   HOPS_RETURN_IF_ERROR(CheckAlive());
   auto tx = db_->Begin(hint);
   if (want_trace) tx->EnableTrace();
-  if (background) tx->SetBackground(true);
+  if (IntentLog::OnApplierThread()) tx->SetBackground(true);
   hops::Status st = body(*tx);
   if (st.ok()) {
     st = tx->Commit();
@@ -843,8 +833,7 @@ hops::Result<size_t> Namenode::ValidateAcknowledged(const std::vector<std::strin
           }
           known = n - 1;
           return CheckAccess(r.parent_of_target(), user, kWrite);
-        },
-        /*inline_read=*/true);
+        });
     if (st.ok()) return known;
     // A missing interior: a mkdirs needs the per-level walk to learn how much
     // of the chain exists; for a create, it is final unless an intent was
@@ -920,8 +909,7 @@ hops::Result<size_t> Namenode::ValidateAcknowledged(const std::vector<std::strin
           }
           return out.status().code() == hops::StatusCode::kNotFound ? hops::Status::Ok()
                                                                     : out.status();
-        },
-        /*inline_read=*/true);
+        });
     if (applied_mid_walk) continue;
     HOPS_RETURN_IF_ERROR(st);
     break;

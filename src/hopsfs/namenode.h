@@ -137,7 +137,7 @@ class Namenode {
   }
   const FsConfig& config() const { return *config_; }
   // The request handler pool (null when FsConfig::num_handlers == 0 and
-  // operations run inline on the calling thread).
+  // operations run ungated on the calling thread).
   HandlerPool* handler_pool() { return handlers_.get(); }
 
   // Datanode pool used to place new block replicas.
@@ -230,25 +230,18 @@ class Namenode {
 
   // Runs `body` inside a transaction with retries for lock timeouts, aborted
   // transactions and subtree-lock waits (exponential backoff). With a
-  // handler pool configured, each attempt is enqueued and runs on a handler
-  // thread -- the handler owns that transaction, and the caller blocks for
-  // the result like an RPC client would while backoff sleeps stay on the
-  // caller's thread (a sleeping waiter must not occupy a handler slot);
-  // nested calls already on a handler run inline.
-  // `inline_read` keeps the transaction on the calling thread even when a
-  // handler pool exists: right for lock-free read-committed validation
-  // transactions, whose cross-thread dispatch would cost more wall time
-  // than their reads.
+  // handler pool configured, each attempt runs on the calling thread while
+  // holding one of the namenode's handler slots (waiting for one if all are
+  // busy); backoff sleeps hold no slot, and nested calls run inline on the
+  // slot their caller already holds.
   hops::Status RunTx(std::optional<kv::TxHint> hint,
-                     const std::function<hops::Status(kv::Txn&)>& body,
-                     bool inline_read = false);
-  // One attempt: begin, body, commit-or-abort; no retry classification.
-  // `background` marks the transaction's cost-trace accesses as intent-apply
-  // work (captured at RunTx entry, before the attempt hops onto a handler
-  // thread where the applier's thread-local marker is invisible).
+                     const std::function<hops::Status(kv::Txn&)>& body);
+  // One attempt: begin, body, commit-or-abort; no retry classification. An
+  // attempt on an intent-applier thread marks its cost-trace accesses as
+  // background work.
   hops::Status RunTxAttempt(std::optional<kv::TxHint> hint,
                             const std::function<hops::Status(kv::Txn&)>& body,
-                            bool want_trace, bool background);
+                            bool want_trace);
 
   // Figure 4 lines 1-6: resolve the path (hint cache + batched read, with
   // recursive fallback), then lock the last component(s) in total order.
@@ -500,8 +493,8 @@ class Namenode {
   const FsConfig* const config_;
   std::unique_ptr<HandlerPool> handlers_;
   // The async-commit intent log (null when async_metadata_commit is off).
-  // Declared after handlers_: its applier issues transactions through the
-  // handler pool, so it must stop first.
+  // Declared after handlers_: its applier's transactions go through RunTx,
+  // which reads handlers_, so it must stop first.
   std::unique_ptr<IntentLog> intents_;
   std::atomic<uint64_t> intents_adopted_{0};
   LeaderElection election_;

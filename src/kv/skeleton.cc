@@ -615,7 +615,10 @@ hops::Status TxnSkeleton::FlushPending() {
     s.overlapped_round_trips.fetch_add(sync_equiv - rt, std::memory_order_relaxed);
   }
   if (trace_enabled_) {
-    for (auto& a : accesses) trace_.accesses.push_back(std::move(a));
+    for (auto& a : accesses) {
+      a.background = background_;
+      trace_.accesses.push_back(std::move(a));
+    }
   }
   return first_error;
 }

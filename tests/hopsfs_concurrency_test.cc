@@ -2,7 +2,7 @@
 // serialization of conflicting ops, client failover with zero downtime,
 // database-node failure handling (§7.6), and the handler-pool stress
 // offensive: many concurrent clients funneled through a bounded pool of
-// handler threads, verified against a single-threaded oracle replay of the
+// handler slots, verified against a single-threaded oracle replay of the
 // same deterministic op scripts.
 #include <gtest/gtest.h>
 
@@ -643,8 +643,8 @@ TEST_F(HandlerPoolTest, SubtreeWaitersDoNotStarveTheSubtreeOperation) {
   // handler slot, so with as many waiters as handlers the subtree
   // operation's own phase transactions starved behind them (priority
   // inversion) and every waiter deterministically exhausted its retries.
-  // Backoff sleeps now happen on the caller's thread, so waiters drain from
-  // the pool, the subtree delete progresses, and the waiters' retries
+  // Backoff sleeps now happen outside the handler slot, so waiters drain
+  // from the pool, the subtree delete progresses, and the waiters' retries
   // succeed once the lock clears.
   auto cluster = MakeCluster(/*num_handlers=*/2, /*num_namenodes=*/1);
   Client setup = cluster->NewClient(NamenodePolicy::kSticky, "setup");

@@ -106,6 +106,28 @@ TEST_P(NdbBatchTest, MixedGetAndScanBatchIsOneRoundTrip) {
       << "a cross-table batch still costs one round trip";
 }
 
+// A background (intent-apply) transaction's batched accesses are marked
+// background in the cost trace like its per-row ones: the replay splits an
+// op's latency at the first background access.
+TEST_P(NdbBatchTest, BackgroundFlagReachesBatchedAccesses) {
+  MustInsert(1, "a", 10);
+  auto tx = cluster_->Begin();
+  tx->EnableTrace();
+  tx->SetBackground(true);
+  ReadBatch rb;
+  rb.Get(table_, {int64_t{1}, "a"});
+  rb.Scan(table_, {int64_t{1}});
+  ASSERT_TRUE(tx->Execute(rb).ok());
+  WriteBatch wb;
+  wb.Write(table_, Row{int64_t{2}, "b", int64_t{20}});
+  ASSERT_TRUE(tx->Execute(wb).ok());
+  ASSERT_TRUE(tx->Commit().ok());
+  ASSERT_GE(tx->trace().accesses.size(), 3u);
+  for (const Access& a : tx->trace().accesses) {
+    EXPECT_TRUE(a.background) << "access kind " << static_cast<int>(a.kind);
+  }
+}
+
 TEST_P(NdbBatchTest, BatchSeesOwnStagedWrites) {
   MustInsert(1, "keep", 1);
   MustInsert(1, "gone", 2);
