@@ -14,15 +14,26 @@
 // is a single erase. Peer namenodes' entries repair lazily on their next
 // miss; nothing orders a Put against a concurrent Erase, since a Put that
 // raced one is just another stale hint.
+//
+// Every handler thread of the namenode reads the cache on every op, so
+// reads take only a shared lock. Recency is a per-entry reference bit that
+// a counted lookup sets (an atomic store, no list splice), and eviction is
+// CLOCK second-chance: a hand sweeps the ring of keys, clearing set bits
+// and evicting the first entry whose bit is already clear. New keys go in
+// just behind the hand, so they are the last the sweep reaches. A Put that
+// would not change the hint only sets the bit, under the shared lock; new
+// keys, changed hints, Erase and Clear take the lock exclusively.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <list>
-#include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hopsfs/types.h"
@@ -39,6 +50,8 @@ class InodeHintCache {
     // producers that did not read the row) keeps the speculative behavior.
     bool is_dir = false;
     bool is_dir_known = false;
+
+    bool operator==(const Hint&) const = default;
   };
 
   // Aggregate counters (all monotonic).
@@ -59,18 +72,20 @@ class InodeHintCache {
   InodeHintCache& operator=(const InodeHintCache&) = delete;
 
   // Returns hints for components[0..k) for the longest cached chain k,
-  // starting at the root, refreshing recency and counting a hit (full
-  // chain) or a miss. hints[i] is the inode of /components[0]/../components[i].
+  // starting at the root, setting each found entry's reference bit and
+  // counting a hit (full chain) or a miss. hints[i] is the inode of
+  // /components[0]/../components[i].
   std::vector<Hint> LookupChain(const std::vector<std::string>& components) const;
 
-  // Like LookupChain but side-effect free: no recency refresh, no hit/miss
+  // Like LookupChain but side-effect free: no reference bit, no hit/miss
   // accounting. For speculative probes whose resolution performs its own
   // counted lookup (e.g. the getBlockLocations fan-out rider).
   std::vector<Hint> PeekChain(const std::vector<std::string>& components) const;
 
   // Records that `name` under `parent_id` is `inode_id`. `is_dir` records
   // the inode kind when the producer knows it; a refresh that does not know
-  // it keeps a known kind for the same inode id.
+  // it keeps a known kind for the same inode id. A Put of a cached key sets
+  // its reference bit; a new key starts with the bit clear.
   void Put(InodeId parent_id, std::string_view name, InodeId inode_id,
            std::optional<bool> is_dir = std::nullopt);
 
@@ -104,21 +119,33 @@ class InodeHintCache {
       return a.parent_id == b.parent_id && a.name == b.name;
     }
   };
+  struct Entry;
+  // The CLOCK ring: map_'s nodes, which are address-stable.
+  using Ring = std::list<std::pair<const Key, Entry>*>;
   struct Entry {
-    Hint hint;
-    std::list<const Key*>::iterator lru;
+    Hint hint;  // written only under the exclusive lock
+    Ring::iterator pos;
+    // Set by counted lookups and by Puts of a cached key; cleared by the
+    // passing hand. Recency is logically const, so lookups set it under the
+    // shared lock.
+    mutable std::atomic<bool> referenced{false};
   };
 
-  // Requires mu_ held.
+  // Requires mu_ held (shared is enough).
   std::vector<Hint> Walk(const std::vector<std::string>& components, bool refresh) const;
+  // Requires mu_ held exclusively and a non-empty ring.
+  void EvictOne();
 
   const size_t capacity_;
-  mutable std::mutex mu_;
+  mutable std::shared_mutex mu_;
   std::unordered_map<Key, Entry, KeyHash, KeyEq> map_;
-  // Keys of map_ (node keys are address-stable), most recently used first.
-  // Recency updates are logically const, so lookups may splice.
-  mutable std::list<const Key*> lru_;
-  mutable Stats stats_;
+  Ring ring_;
+  // The next ring slot the sweep examines; end() wraps to begin().
+  Ring::iterator hand_ = ring_.end();
+  mutable std::atomic<uint64_t> hits_{0};
+  mutable std::atomic<uint64_t> misses_{0};
+  uint64_t evictions_ = 0;      // under the exclusive lock
+  uint64_t invalidations_ = 0;  // under the exclusive lock
 };
 
 }  // namespace hops::fs

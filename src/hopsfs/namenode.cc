@@ -150,6 +150,7 @@ void Namenode::SetTraceSink(TraceSink sink) {
   if (intents_) intents_->SetTraceSink(sink);
   std::lock_guard<std::mutex> lock(trace_mu_);
   trace_sink_ = std::move(sink);
+  tracing_.store(trace_sink_ != nullptr, std::memory_order_relaxed);
 }
 
 hops::Status Namenode::Heartbeat() {
@@ -173,11 +174,7 @@ void Namenode::SetDatanodePicker(std::function<std::vector<DatanodeId>(int)> pic
 hops::Status Namenode::RunTx(std::optional<kv::TxHint> hint,
                              const std::function<hops::Status(kv::Txn&)>& body) {
   int subtree_waits = 0;
-  bool want_trace;
-  {
-    std::lock_guard<std::mutex> lock(trace_mu_);
-    want_trace = trace_sink_ != nullptr;
-  }
+  const bool want_trace = tracing_.load(std::memory_order_relaxed);
   // With a handler pool, each ATTEMPT holds one handler slot, while the
   // retry loop -- and in particular its subtree-wait backoff sleeps -- runs
   // outside it. A waiter must not hold a slot while it sleeps: the subtree

@@ -508,6 +508,9 @@ class Namenode {
   std::mutex dn_picker_mu_;
   TraceSink trace_sink_;
   std::mutex trace_mu_;
+  // Whether trace_sink_ is set; written under trace_mu_, so that RunTx can
+  // skip the mutex on every transaction when no sink is installed.
+  std::atomic<bool> tracing_{false};
 
   // Subtree operations currently executing on THIS namenode, keyed by the
   // locked subtree root. A subtree-lock flag carrying our own id exempts the

@@ -25,7 +25,7 @@ OccTxn::OccTxn(OccEngine* engine, TxId id, uint32_t coordinator)
 uint64_t OccTxn::CommittedVersion(TableId table, uint32_t partition, const std::string& ekey,
                                   std::optional<Row>* live_row) const {
   OccEngine::OccPartition& p = occ_->part(table, partition);
-  std::lock_guard<std::mutex> lock(p.mu);
+  std::shared_lock<std::shared_mutex> lock(p.mu);
   auto it = p.rows.find(ekey);
   if (it == p.rows.end()) return 0;
   if (live_row != nullptr && !it->second.tombstone) *live_row = it->second.row;
@@ -83,7 +83,7 @@ std::map<std::string, Row> OccTxn::CommittedRange(TableId table, uint32_t partit
   std::map<std::string, Row> rows;
   {
     OccEngine::OccPartition& p = occ_->part(table, partition);
-    std::lock_guard<std::mutex> lock(p.mu);
+    std::shared_lock<std::shared_mutex> lock(p.mu);
     for (auto it = p.rows.lower_bound(eprefix); it != p.rows.end(); ++it) {
       if (!eprefix.empty() && it->first.compare(0, eprefix.size(), eprefix) != 0) break;
       if (!it->second.tombstone) rows.emplace_hint(rows.end(), it->first, it->second.row);
@@ -128,7 +128,7 @@ hops::Status OccTxn::InstallWriteSet() {
   }
   for (const RangeObs& range : range_set_) {
     OccEngine::OccPartition& p = occ_->part(range.table, range.partition);
-    std::lock_guard<std::mutex> lock(p.mu);
+    std::shared_lock<std::shared_mutex> lock(p.mu);
     for (auto it = p.rows.lower_bound(range.eprefix); it != p.rows.end(); ++it) {
       if (!range.eprefix.empty() &&
           it->first.compare(0, range.eprefix.size(), range.eprefix) != 0) {
@@ -151,7 +151,7 @@ hops::Status OccTxn::InstallWriteSet() {
   for (const auto& [tk, staged] : write_set()) {
     const auto& [table_id, ekey] = tk;
     OccEngine::OccPartition& p = occ_->part(table_id, staged.partition);
-    std::lock_guard<std::mutex> lock(p.mu);
+    std::lock_guard<std::shared_mutex> lock(p.mu);
     auto it = p.rows.find(ekey);
     if (it != p.rows.end() && !it->second.tombstone) {
       p.live_bytes -= RowBytes(ekey, it->second.row);

@@ -7,7 +7,7 @@
 //  * Every committed row carries the commit version that installed it;
 //    deletes install tombstones (version + no payload), so "the row changed"
 //    and "the row vanished" validate identically.
-//  * Reads never block and take no locks. kReadCommitted reads return the
+//  * Reads never block and take no row locks. kReadCommitted reads return the
 //    latest committed version and are not validated -- exactly the stability
 //    the 2PL engine's unlocked reads give. kShared/kExclusive reads are
 //    recorded in the transaction's READ SET with the version they observed
@@ -21,6 +21,10 @@
 //    observation so a racing writer is caught. Blind upserts (Write) stage
 //    without observation -- last-writer-wins, the same outcome 2PL
 //    serializes to.
+//  * Each partition's version map sits behind a reader/writer lock:
+//    point reads, scans and the commit-time range re-walk take it shared,
+//    and only the install loop takes it exclusive, once per staged row. It
+//    keeps the map consistent; what orders commits is the next point.
 //  * Commit validates the read and range sets and installs the write set
 //    under one global commit mutex, at a single new commit version. The
 //    published version counter is bumped only AFTER the install completes,
@@ -46,6 +50,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -122,15 +127,16 @@ class OccEngine final : public EngineSkeleton {
   };
   struct OccPartition final : PartitionStore {
     size_t row_count() const override {
-      std::lock_guard<std::mutex> lock(mu);
+      std::shared_lock<std::shared_mutex> lock(mu);
       return live_rows;
     }
     size_t data_bytes() const override {
-      std::lock_guard<std::mutex> lock(mu);
+      std::shared_lock<std::shared_mutex> lock(mu);
       return live_bytes;
     }
 
-    mutable std::mutex mu;
+    // Shared for reads and validation walks, exclusive for installs.
+    mutable std::shared_mutex mu;
     std::map<std::string, VersionedRow> rows;  // ordered: prefix scans + range checks
     size_t live_rows = 0;
     size_t live_bytes = 0;  // live payload + key bytes (tombstones excluded)

@@ -79,23 +79,30 @@ hops::Result<TableId> EngineSkeleton::CreateTable(Schema schema) {
   t->partitions.reserve(num_partitions_);
   for (uint32_t p = 0; p < num_partitions_; ++p) t->partitions.push_back(NewPartition());
   std::lock_guard<std::mutex> lock(tables_mu_);
-  tables_.push_back(std::move(t));
-  return static_cast<TableId>(tables_.size() - 1);
+  const size_t n = num_tables_.load(std::memory_order_relaxed);
+  if (n == kMaxTables) {
+    return hops::Status::InvalidArgument("table registry is full (" +
+                                         std::to_string(kMaxTables) + " tables)");
+  }
+  tables_[n] = std::move(t);
+  num_tables_.store(n + 1, std::memory_order_release);
+  return static_cast<TableId>(n);
 }
 
 const Schema& EngineSkeleton::schema(TableId id) const { return table(id).schema; }
 
 std::optional<TableId> EngineSkeleton::FindTable(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(tables_mu_);
-  for (size_t i = 0; i < tables_.size(); ++i) {
+  const size_t n = num_tables_.load(std::memory_order_acquire);
+  for (size_t i = 0; i < n; ++i) {
     if (tables_[i]->schema.table_name == name) return static_cast<TableId>(i);
   }
   return std::nullopt;
 }
 
 const EngineSkeleton::Table& EngineSkeleton::table(TableId id) const {
-  std::lock_guard<std::mutex> lock(tables_mu_);
-  assert(id < tables_.size());
+  // Pairs with CreateTable's release: slot `id` is completely built.
+  [[maybe_unused]] const size_t n = num_tables_.load(std::memory_order_acquire);
+  assert(id < n);
   return *tables_[id];
 }
 
@@ -247,11 +254,7 @@ size_t EngineSkeleton::TableMemoryBytes(TableId id) const {
 
 size_t EngineSkeleton::TotalMemoryBytes() const {
   size_t total = 0;
-  size_t n;
-  {
-    std::lock_guard<std::mutex> lock(tables_mu_);
-    n = tables_.size();
-  }
+  const size_t n = num_tables_.load(std::memory_order_acquire);
   for (size_t i = 0; i < n; ++i) total += TableMemoryBytes(static_cast<TableId>(i));
   return total;
 }

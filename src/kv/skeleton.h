@@ -25,6 +25,7 @@
 // The skeleton never branches on engine kind.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -129,12 +130,19 @@ class EngineSkeleton : public Engine {
   FaultInjector fault_injector_;
   uint32_t num_partitions_;
   uint32_t num_groups_;
-  std::vector<std::unique_ptr<Table>> tables_;
+  // The table registry. Slots below num_tables_ are set once and never
+  // change, so table() reads them without a lock: CreateTable fills slot n
+  // and only then publishes n + 1 (release), and readers load the count
+  // (acquire) before touching a slot. tables_mu_ only orders CreateTable
+  // calls among themselves.
+  static constexpr size_t kMaxTables = 64;
+  std::array<std::unique_ptr<Table>, kMaxTables> tables_;
+  std::atomic<size_t> num_tables_{0};
+  std::mutex tables_mu_;
   std::vector<std::atomic<bool>> node_alive_;
   // Every handler thread writes the groups below on every access or
   // transaction; each starts its own cache line so that they neither
   // false-share with each other nor with the read-mostly topology above.
-  alignas(64) mutable std::mutex tables_mu_;  // guards the tables_ vector (not contents)
   alignas(64) std::atomic<TxId> next_tx_id_{1};
   std::atomic<uint32_t> rr_coordinator_{0};
   std::atomic<uint64_t> gcp_epoch_{1};

@@ -30,7 +30,7 @@ hops::Status Partition::AcquireLock(TxId tx, const std::string& ekey, LockMode m
                                     std::chrono::steady_clock::time_point deadline,
                                     bool* waited) {
   if (mode == LockMode::kReadCommitted) return hops::Status::Ok();
-  std::unique_lock<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(lock_mu_);
   // References into unordered_map stay valid across inserts; ReleaseLock
   // never erases an entry while waiters > 0.
   LockState& ls = locks_[ekey];
@@ -60,21 +60,26 @@ hops::Status Partition::AcquireLock(TxId tx, const std::string& ekey, LockMode m
 }
 
 void Partition::ReleaseLock(TxId tx, const std::string& ekey) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = locks_.find(ekey);
-  if (it == locks_.end()) return;
-  LockState& ls = it->second;
-  if (ls.exclusive == tx) ls.exclusive = 0;
-  ls.shared.erase(std::remove(ls.shared.begin(), ls.shared.end(), tx), ls.shared.end());
-  if (ls.exclusive == 0 && ls.shared.empty() && ls.waiters == 0) {
-    locks_.erase(it);
+  bool had_waiters;
+  {
+    std::lock_guard<std::mutex> lock(lock_mu_);
+    auto it = locks_.find(ekey);
+    if (it == locks_.end()) return;
+    LockState& ls = it->second;
+    if (ls.exclusive == tx) ls.exclusive = 0;
+    ls.shared.erase(std::remove(ls.shared.begin(), ls.shared.end(), tx), ls.shared.end());
+    had_waiters = ls.waiters > 0;
+    if (ls.exclusive == 0 && ls.shared.empty() && !had_waiters) locks_.erase(it);
   }
-  lock_released_.notify_all();
+  // The condition variable is shared by every row of the partition: waking
+  // it for a row nobody waits on would only send other rows' waiters back
+  // to sleep.
+  if (had_waiters) lock_released_.notify_all();
 }
 
 bool Partition::Holds(TxId tx, const std::string& ekey, LockMode mode) const {
   if (mode == LockMode::kReadCommitted) return true;
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(lock_mu_);
   auto it = locks_.find(ekey);
   if (it == locks_.end()) return false;
   const LockState& ls = it->second;
@@ -86,19 +91,19 @@ bool Partition::Holds(TxId tx, const std::string& ekey, LockMode mode) const {
 }
 
 std::optional<Row> Partition::Get(const std::string& ekey) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(rows_mu_);
   auto it = rows_.find(ekey);
   if (it == rows_.end()) return std::nullopt;
   return it->second;
 }
 
 bool Partition::Contains(const std::string& ekey) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(rows_mu_);
   return rows_.count(ekey) > 0;
 }
 
 void Partition::ApplyPut(const std::string& ekey, Row row) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(rows_mu_);
   auto it = rows_.find(ekey);
   if (it != rows_.end()) {
     data_bytes_ -= RowBytes(ekey, it->second);
@@ -111,7 +116,7 @@ void Partition::ApplyPut(const std::string& ekey, Row row) {
 }
 
 void Partition::ApplyDelete(const std::string& ekey) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(rows_mu_);
   auto it = rows_.find(ekey);
   if (it == rows_.end()) return;
   data_bytes_ -= RowBytes(ekey, it->second);
@@ -121,7 +126,7 @@ void Partition::ApplyDelete(const std::string& ekey) {
 std::vector<std::pair<std::string, Row>> Partition::SnapshotPrefix(
     const std::string& prefix) const {
   std::vector<std::pair<std::string, Row>> out;
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(rows_mu_);
   auto it = prefix.empty() ? rows_.begin() : rows_.lower_bound(prefix);
   for (; it != rows_.end(); ++it) {
     if (!prefix.empty() && it->first.compare(0, prefix.size(), prefix) != 0) break;
@@ -131,12 +136,12 @@ std::vector<std::pair<std::string, Row>> Partition::SnapshotPrefix(
 }
 
 size_t Partition::row_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(rows_mu_);
   return rows_.size();
 }
 
 size_t Partition::data_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(rows_mu_);
   return data_bytes_;
 }
 

@@ -7,6 +7,15 @@
 // (staged writes live in the transaction until commit, so the committed
 // version is always the one stored here). Deadlocks are resolved by lock-wait
 // timeout, as NDB does.
+//
+// Two internal locks, so that neither readers nor lock traffic queue behind
+// each other:
+//  * rows_mu_ (reader/writer) guards rows_ and data_bytes_. Get, Contains,
+//    SnapshotPrefix, row_count and data_bytes take it shared; only the
+//    commit path's ApplyPut/ApplyDelete take it exclusive. It keeps the map
+//    consistent; the row locks below are what keep the data stable.
+//  * lock_mu_ guards locks_ and is the mutex lock_released_ waits on.
+// No method holds both.
 #pragma once
 
 #include <condition_variable>
@@ -15,6 +24,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -40,8 +50,8 @@ class Partition final : public kv::PartitionStore {
   // True if `tx` already holds a lock at least as strong as `mode`.
   bool Holds(TxId tx, const std::string& ekey, LockMode mode) const;
 
-  // --- Committed data (callers must hold the row lock for locked reads; the
-  // partition mutex is taken internally for map consistency) ---------------
+  // --- Committed data (callers must hold the row lock for locked reads;
+  // rows_mu_ is taken internally for map consistency) ------------------------
   std::optional<Row> Get(const std::string& ekey) const;
   bool Contains(const std::string& ekey) const;
   // Applies a committed write (commit path only).
@@ -64,11 +74,15 @@ class Partition final : public kv::PartitionStore {
 
   bool Grantable(const LockState& ls, TxId tx, LockMode mode) const;
 
-  mutable std::mutex mu_;
-  std::condition_variable lock_released_;
-  std::map<std::string, Row> rows_;                    // primary ordered index
-  std::unordered_map<std::string, LockState> locks_;
+  mutable std::shared_mutex rows_mu_;
+  std::map<std::string, Row> rows_;  // primary ordered index
   size_t data_bytes_ = 0;
+
+  mutable std::mutex lock_mu_;
+  // Shared by every row of the partition; notified only when a released
+  // row has waiters.
+  std::condition_variable lock_released_;
+  std::unordered_map<std::string, LockState> locks_;
 };
 
 }  // namespace hops::ndb

@@ -184,7 +184,7 @@ hops::Status Transaction::ClaimWindow(const std::vector<InFlightBatch>& flight,
 std::map<std::string, Row> Transaction::CommittedRange(TableId table, uint32_t partition,
                                                        const std::string& eprefix,
                                                        const ScanOptions& /*opts*/) {
-  // Copy under the partition mutex, build the map outside it.
+  // Copy under the partition's shared rows lock, build the map outside it.
   std::map<std::string, Row> rows;
   for (auto& [ekey, row] : cluster_->part(table, partition).SnapshotPrefix(eprefix)) {
     rows.emplace_hint(rows.end(), std::move(ekey), std::move(row));

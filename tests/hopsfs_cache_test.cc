@@ -1,9 +1,13 @@
 // The inode hint cache, keyed by inode primary key (parent id, name): chain
-// lookups that follow ids from the root, hit/miss accounting, LRU eviction
-// edges, and single-entry invalidation.
+// lookups that follow ids from the root, hit/miss accounting, CLOCK
+// eviction edges, single-entry invalidation, and concurrent use.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hopsfs/inode_cache.h"
@@ -143,6 +147,95 @@ TEST(InodeCacheTest, UpdateOfExistingHintRefreshesValueAndRecency) {
   ASSERT_EQ(chain.size(), 1u);
   EXPECT_EQ(chain[0].inode_id, 99);
   EXPECT_TRUE(cache.LookupChain(P({"b"})).empty());
+}
+
+TEST(InodeCacheTest, ClockGivesReferencedEntriesASecondChance) {
+  InodeHintCache cache(3);
+  cache.Put(kRootInode, "a", 10);
+  cache.Put(kRootInode, "b", 11);
+  cache.Put(kRootInode, "c", 12);
+  ASSERT_EQ(cache.LookupChain(P({"a"})).size(), 1u);  // sets /a's bit
+  ASSERT_EQ(cache.PeekChain(P({"b"})).size(), 1u);    // leaves /b's bit clear
+  cache.Put(kRootInode, "c", 12);                     // unchanged: sets /c's bit
+  // The hand clears /a's bit and evicts /b, the first entry left untouched.
+  cache.Put(kRootInode, "d", 13);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_TRUE(cache.PeekChain(P({"b"})).empty());
+  EXPECT_EQ(cache.PeekChain(P({"a"})).size(), 1u);
+  // The hand resumes at /c: its bit (from the unchanged Put) buys it a
+  // second chance, while /a spent its own in the first sweep.
+  cache.Put(kRootInode, "e", 14);
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_TRUE(cache.PeekChain(P({"a"})).empty());
+  EXPECT_EQ(cache.PeekChain(P({"c"})).size(), 1u);
+  EXPECT_EQ(cache.PeekChain(P({"d"})).size(), 1u);
+  EXPECT_EQ(cache.PeekChain(P({"e"})).size(), 1u);
+}
+
+TEST(InodeCacheTest, ConcurrentMixedOpsKeepCapacityAndCounts) {
+  // 16 directories x 16 files under the root: 272 keys through a 64-entry
+  // cache, so lookups, peeks and unchanged Puts (shared lock) race new
+  // keys, changed hints, evictions and erases (exclusive lock).
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 20000;
+  constexpr size_t kCapacity = 64;
+  InodeHintCache cache(kCapacity);
+  auto dir_id = [](int d) { return InodeId{100} + d; };
+  auto file_id = [](int d, int f) { return InodeId{1000} + d * 16 + f; };
+  std::atomic<uint64_t> lookups{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rng(t + 1);
+      uint64_t mine = 0;
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const int d = static_cast<int>(rng() % 16);
+        const int f = static_cast<int>(rng() % 16);
+        const std::vector<std::string> path = {"d" + std::to_string(d), "f" + std::to_string(f)};
+        switch (rng() % 4) {
+          case 0:
+            cache.LookupChain(path);
+            ++mine;
+            break;
+          case 1:
+            cache.PeekChain(path);
+            break;
+          case 2: {
+            cache.Put(kRootInode, path[0], dir_id(d), /*is_dir=*/true);
+            // A kind the producer may or may not know: flips some hints.
+            std::optional<bool> kind;
+            if (rng() % 2 == 0) kind = false;
+            cache.Put(dir_id(d), path[1], file_id(d, f), kind);
+            break;
+          }
+          default:
+            cache.Erase(dir_id(d), path[1]);
+            break;
+        }
+      }
+      lookups.fetch_add(mine);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_LE(cache.size(), kCapacity);
+  const InodeHintCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, lookups.load());
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  // Every surviving hint is one some thread put.
+  for (int d = 0; d < 16; ++d) {
+    for (int f = 0; f < 16; ++f) {
+      auto chain = cache.PeekChain({"d" + std::to_string(d), "f" + std::to_string(f)});
+      if (!chain.empty()) {
+        EXPECT_EQ(chain[0].inode_id, dir_id(d));
+      }
+      if (chain.size() == 2) {
+        EXPECT_EQ(chain[1].inode_id, file_id(d, f));
+        EXPECT_FALSE(chain[1].is_dir);
+      }
+    }
+  }
 }
 
 }  // namespace
