@@ -1,7 +1,11 @@
 // Workload generator: op mixes match Table 1, namespaces match the §7.2
 // shape statistics, the bulk loader produces the same layout the client API
-// produces, and the closed-loop driver runs both systems.
+// produces, the closed-loop driver runs both systems, and a one-client
+// replay of the spotify mix does an exact, gated amount of KV work.
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <thread>
 
 #include "workload/driver.h"
 #include "workload/trace.h"
@@ -237,6 +241,89 @@ TEST(WorkloadStressTest, DriverDeterministicSeedStressThroughHandlerPool) {
   EXPECT_EQ(second.failures, 0u);
   EXPECT_EQ(second.counts, first.counts)
       << "a fixed seed samples the identical op stream on every run";
+}
+
+// Exact work counts from a deterministic replay: one client, no handler
+// pool, a fixed op count and seed, so no two transactions ever race and
+// every KV access the mix makes is a pure function of the seed. The
+// counters are gated with ==: a change that moves them commits the new
+// values and says why. The expected set is picked by the engine the cluster
+// actually runs (HOPS_KV_ENGINE overrides the configured one).
+struct ReplayCounts {
+  uint64_t round_trips, overlapped_round_trips, rows_read, rows_written, commits, aborts,
+      batch_reads, batch_writes;
+};
+
+void ExpectCounts(const ndb::ClusterStats& got, const ReplayCounts& want) {
+  EXPECT_EQ(got.round_trips, want.round_trips);
+  EXPECT_EQ(got.overlapped_round_trips, want.overlapped_round_trips);
+  EXPECT_EQ(got.rows_read, want.rows_read);
+  EXPECT_EQ(got.rows_written, want.rows_written);
+  EXPECT_EQ(got.commits, want.commits);
+  EXPECT_EQ(got.aborts, want.aborts);
+  EXPECT_EQ(got.batch_reads, want.batch_reads);
+  EXPECT_EQ(got.batch_writes, want.batch_writes);
+}
+
+void RunReplay(bool async_commit, const ReplayCounts& ndb_want, const ReplayCounts& occ_want) {
+  constexpr uint64_t kSeed = 5;
+  hops::fs::MiniClusterOptions options;
+  options.db.num_datanodes = 4;
+  options.db.replication = 2;
+  options.fs.num_handlers = 0;
+  options.fs.async_metadata_commit = async_commit;
+  options.num_namenodes = 2;
+  options.num_datanodes = 3;
+  auto started = hops::fs::MiniCluster::Start(options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  auto cluster = *std::move(started);
+  NamespaceShape shape;
+  auto ns = PlanNamespace(shape, 2000, kSeed);
+  BulkLoader loader(&cluster->db(), &cluster->schema(), &cluster->fs_config());
+  ASSERT_TRUE(loader.Load(ns, 1.3, 0, kSeed).ok());
+  cluster->db().ResetStats();
+  // Async: a sticky client (a peer's unapplied mkdirs would be polled for on
+  // a timer), and the cleaners held until every intent has applied, so the
+  // row deletes merge into the same chunks on every run.
+  for (int i = 0; i < cluster->num_namenodes(); ++i) {
+    cluster->namenode(i).SetIntentCleanerPausedForTesting(true);
+  }
+  DriverOptions opts;
+  opts.num_threads = 1;
+  opts.ops_per_thread = 6000;
+  opts.seed = kSeed;
+  auto report = RunDriver(
+      [&](int) {
+        return MakeHopsAdapter(cluster->NewClient(
+            async_commit ? hops::fs::NamenodePolicy::kSticky : hops::fs::NamenodePolicy::kRandom,
+            "replay", kSeed));
+      },
+      ns, OpMix::Spotify(), opts);
+  for (;;) {
+    auto intents = cluster->AggregateIntentStats();
+    if (intents.log.intents_applied == intents.log.intents_appended) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int i = 0; i < cluster->num_namenodes(); ++i) {
+    cluster->namenode(i).SetIntentCleanerPausedForTesting(false);
+  }
+  cluster->DrainIntents();
+  EXPECT_EQ(report.ops, 6000u);
+  EXPECT_EQ(report.failures, 0u);
+  const bool occ = cluster->fs_config().kv_engine == kv::EngineKind::kOcc;
+  ExpectCounts(cluster->db().StatsSnapshot(), occ ? occ_want : ndb_want);
+}
+
+TEST(ReplayCountsTest, SyncCommitWorkIsExact) {
+  RunReplay(/*async_commit=*/false,
+            /*ndb=*/{13516, 3908, 41579, 4233, 6397, 0, 14378, 382},
+            /*occ=*/{13495, 3908, 41579, 4233, 6397, 0, 14378, 382});
+}
+
+TEST(ReplayCountsTest, AsyncCommitWorkIsExactAfterDrain) {
+  RunReplay(/*async_commit=*/true,
+            /*ndb=*/{12955, 4244, 41305, 4453, 6544, 0, 13918, 382},
+            /*occ=*/{12934, 4244, 41305, 4453, 6544, 0, 13918, 382});
 }
 
 TEST_F(WorkloadClusterTest, TraceCaptureCoversMixAndShowsLocality) {
