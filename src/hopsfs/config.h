@@ -23,14 +23,6 @@ struct FsConfig {
   // descendants".
   int random_partition_depth = 1;
 
-  // Retries for transactional inode operations aborted by lock timeouts or
-  // coordinator failover.
-  int max_tx_retries = 12;
-  // Retries (with exponential backoff) when an operation keeps hitting an
-  // active subtree lock.
-  int max_subtree_wait_retries = 20;
-  std::chrono::milliseconds subtree_retry_backoff{2};
-
   // Inodes ids are allocated in chunks per namenode so the variables table
   // row is not a hotspot.
   int64_t id_chunk_size = 1024;
@@ -71,11 +63,21 @@ struct FsConfig {
   // (intents whose paths are prefix-disjoint apply in parallel; same-path
   // intents always apply in acknowledgment order).
   int intent_apply_batch = 8;
-  // Upper bound a blocked op waits for a covering intent to apply. Past it
-  // the op fails with a retryable kUnavailable instead of running against
-  // committed state that does not yet hold the acknowledged write (a wedged
-  // applier must not hang every read forever, nor serve it stale).
-  std::chrono::milliseconds intent_wait_timeout{30000};
+
+  // How long one stage of an operation may keep waiting before it fails.
+  // A transaction loop (RunTx, subtree quiesce, id allocation, leader
+  // election, intent append, cleanup and adoption) retries aborts, lock
+  // timeouts, OCC conflicts and -- inode ops only -- subtree locks, with the
+  // backoff schedule of hopsfs/retry.h, until op_timeout has passed since
+  // its first failure; it then returns the last attempt's status code,
+  // naming the stage. A read or mutation blocked on a covering intent, and
+  // an async create polling for a peer's mkdirs, wait at most op_timeout
+  // from the start of the wait, then fail with a retryable kUnavailable
+  // rather than run against committed state that lacks the acknowledged
+  // write (a wedged applier must not hang every op forever, nor serve it
+  // stale). Background intent applies never time out: an acknowledged op
+  // must eventually apply.
+  std::chrono::milliseconds op_timeout{30000};
 };
 
 }  // namespace hops::fs

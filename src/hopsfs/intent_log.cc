@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "hopsfs/retry.h"
 #include "util/clock.h"
 
 namespace hops::fs {
@@ -207,10 +208,10 @@ hops::Status IntentLog::WaitCovering(const std::string& path) const {
   std::unique_lock<std::mutex> lock(mu_);
   if (stop_ || abandoned_ || !CoveredLocked(path)) return hops::Status::Ok();
   covering_waits_.fetch_add(1, std::memory_order_relaxed);
-  if (!cv_.wait_for(lock, config_->intent_wait_timeout,
+  if (!cv_.wait_for(lock, config_->op_timeout,
                     [&] { return stop_ || abandoned_ || !CoveredLocked(path); })) {
-    return hops::Status::Unavailable("timed out waiting for an acknowledged intent covering " +
-                                     path + " to apply");
+    return WaitTimedOut("covering wait", config_->op_timeout,
+                        "an acknowledged intent covering " + path + " to apply");
   }
   return hops::Status::Ok();
 }
@@ -338,8 +339,7 @@ hops::Status IntentLog::AppendBatchTx(std::vector<std::shared_ptr<AppendWaiter>>
     std::lock_guard<std::mutex> lock(trace_mu_);
     sink = trace_fn_;
   }
-  hops::Status st;
-  for (int attempt = 0; attempt < 8; ++attempt) {
+  return RetryUntilTimeout(*config_, "intent append", RetryOn::kTxAbort, [&] {
     auto tx = db_->Begin(kv::TxHint{schema_->intent_heads, static_cast<uint64_t>(self_)});
     if (sink) tx->EnableTrace();
     // Allocate the seq range under the X lock on OUR OWN head row (a failed
@@ -351,38 +351,27 @@ hops::Status IntentLog::AppendBatchTx(std::vector<std::shared_ptr<AppendWaiter>>
     if (head.ok()) {
       seq = (*head)[col::kIntentHeadNext].i64();
     } else if (head.status().code() != hops::StatusCode::kNotFound) {
-      if (tx->active()) tx->Abort();
-      st = head.status();
-      if (st.IsRetryableTx()) continue;
-      return st;
+      return head.status();
     }
-    st = hops::Status::Ok();
     for (auto& w : batch) {
       w->rec.nn = self_;
       w->rec.seq = seq++;
-      st = tx->Insert(schema_->op_intents, ToRow(w->rec));
-      if (!st.ok()) break;
+      HOPS_RETURN_IF_ERROR(tx->Insert(schema_->op_intents, ToRow(w->rec)));
     }
-    if (st.ok()) st = tx->Write(schema_->intent_heads, kv::Row{self_, seq});
-    if (st.ok() && CrashAt("append:pre-commit")) {
+    HOPS_RETURN_IF_ERROR(tx->Write(schema_->intent_heads, kv::Row{self_, seq}));
+    if (CrashAt("append:pre-commit")) {
       // Nothing durable yet: the waiters fail un-acked and nothing replays.
-      if (tx->active()) tx->Abort();
       return hops::Status::Failover("crash injected before intent append commit");
     }
-    if (st.ok()) st = tx->Commit();
-    if (st.ok() && CrashAt("append:post-commit")) {
+    HOPS_RETURN_IF_ERROR(tx->Commit());
+    if (CrashAt("append:post-commit")) {
       // Durable but never acknowledged: replay applies the rows idempotently
       // even though the submitters saw a failure.
       return hops::Status::Failover("crash injected after intent append commit");
     }
-    if (st.ok()) {
-      if (sink) sink(tx->trace());
-      return st;
-    }
-    if (tx->active()) tx->Abort();
-    if (!st.IsRetryableTx()) return st;
-  }
-  return st.ok() ? hops::Status::TxAborted("intent append retries exhausted") : st;
+    if (sink) sink(tx->trace());
+    return hops::Status::Ok();
+  });
 }
 
 // --- Apply stage -------------------------------------------------------------
@@ -556,28 +545,23 @@ bool IntentLog::DeleteIntentRows(const std::vector<IntentRecord>& recs) {
     std::lock_guard<std::mutex> lock(trace_mu_);
     sink = trace_fn_;
   }
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    auto tx =
-        db_->Begin(kv::TxHint{schema_->op_intents, static_cast<uint64_t>(recs.front().nn)});
-    if (sink) {
-      tx->EnableTrace();
-      tx->SetBackground(true);
-    }
-    hops::Status st;
-    for (const auto& rec : recs) {
-      st = tx->Delete(schema_->op_intents, {rec.nn, rec.seq});
-      if (st.code() == hops::StatusCode::kNotFound) st = hops::Status::Ok();
-      if (!st.ok()) break;
-    }
-    if (st.ok()) st = tx->Commit();
-    if (st.ok()) {
-      if (sink) sink(tx->trace());
-      return true;
-    }
-    if (tx->active()) tx->Abort();
-    if (!st.IsRetryableTx()) return false;
-  }
-  return false;
+  const hops::Status st =
+      RetryUntilTimeout(*config_, "intent cleanup", RetryOn::kTxAbort, [&] {
+        auto tx =
+            db_->Begin(kv::TxHint{schema_->op_intents, static_cast<uint64_t>(recs.front().nn)});
+        if (sink) {
+          tx->EnableTrace();
+          tx->SetBackground(true);
+        }
+        for (const auto& rec : recs) {
+          hops::Status deleted = tx->Delete(schema_->op_intents, {rec.nn, rec.seq});
+          if (!deleted.ok() && deleted.code() != hops::StatusCode::kNotFound) return deleted;
+        }
+        HOPS_RETURN_IF_ERROR(tx->Commit());
+        if (sink) sink(tx->trace());
+        return hops::Status::Ok();
+      });
+  return st.ok();
 }
 
 IntentLogStats IntentLog::stats() const {

@@ -175,12 +175,13 @@ class IntentLog {
   // Reserved; on failure the reservation is released.
   hops::Status Submit(IntentRecord rec);
 
-  // Blocks (bounded by FsConfig::intent_wait_timeout) while any pending
-  // path covers `path`: equals it, is a prefix of it, or has it as a
-  // prefix. Returns kUnavailable when the bound expires with the path still
-  // covered: the caller must not run against committed state that lacks an
-  // acknowledged write, and may retry once the applier catches up. Ok at
-  // once on the applier thread and after Abandon/Stop.
+  // Blocks (for at most FsConfig::op_timeout from the start of the wait)
+  // while any pending path covers `path`: equals it, is a prefix of it, or
+  // has it as a prefix. Returns kUnavailable, naming the covering wait, when
+  // the timeout passes with the path still covered: the caller must not run
+  // against committed state that lacks an acknowledged write, and may retry
+  // once the applier catches up. Ok at once on the applier thread and after
+  // Abandon/Stop.
   hops::Status WaitCovering(const std::string& path) const;
 
   // Blocks until the log is drained: nothing reserved, queued or applying.

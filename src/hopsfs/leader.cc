@@ -1,5 +1,7 @@
 #include "hopsfs/leader.h"
 
+#include "hopsfs/retry.h"
+
 namespace hops::fs {
 
 LeaderElection::LeaderElection(kv::Engine* db, const MetadataSchema* schema,
@@ -9,81 +11,55 @@ LeaderElection::LeaderElection(kv::Engine* db, const MetadataSchema* schema,
 hops::Status LeaderElection::Register() {
   // Allocate a unique id from the variables table; retry on conflicts with
   // other registering namenodes.
-  for (int attempt = 0; attempt < 16; ++attempt) {
+  return RetryUntilTimeout(*config_, "namenode registration", RetryOn::kTxAbort, [&] {
     auto tx = db_->Begin(kv::TxHint{schema_->variables, 0});
     auto row = tx->Read(schema_->variables, {kVarNextNamenodeId}, kv::LockMode::kExclusive);
-    if (!row.ok()) {
-      if (row.status().IsRetryableTx()) continue;
-      return row.status();
-    }
-    int64_t next = (*row)[col::kVarValue].i64();
-    hops::Status st =
-        tx->Update(schema_->variables, kv::Row{kVarNextNamenodeId, next + 1});
-    if (!st.ok()) continue;
-    st = tx->Insert(schema_->leader, kv::Row{next, int64_t{0}, location_});
-    if (!st.ok()) continue;
-    st = tx->Commit();
-    if (st.ok()) {
-      id_ = next;
-      return hops::Status::Ok();
-    }
-    if (!st.IsRetryableTx()) return st;
-  }
-  return hops::Status::TxAborted("could not register namenode");
+    if (!row.ok()) return row.status();
+    const int64_t next = (*row)[col::kVarValue].i64();
+    HOPS_RETURN_IF_ERROR(
+        tx->Update(schema_->variables, kv::Row{kVarNextNamenodeId, next + 1}));
+    HOPS_RETURN_IF_ERROR(tx->Insert(schema_->leader, kv::Row{next, int64_t{0}, location_}));
+    HOPS_RETURN_IF_ERROR(tx->Commit());
+    id_ = next;
+    return hops::Status::Ok();
+  });
 }
 
 hops::Status LeaderElection::Resume(NamenodeId id) {
-  for (int attempt = 0; attempt < 16; ++attempt) {
+  return RetryUntilTimeout(*config_, "namenode resume", RetryOn::kTxAbort, [&] {
     auto tx = db_->Begin(kv::TxHint{schema_->leader, static_cast<uint64_t>(id)});
     int64_t counter = 0;
     auto row = tx->Read(schema_->leader, {id}, kv::LockMode::kExclusive);
     if (row.ok()) {
       counter = (*row)[col::kLeaderCounter].i64();
     } else if (row.status().code() != hops::StatusCode::kNotFound) {
-      // A long-dead row may have been evicted by the leader; re-create it
-      // (counter continuity only matters while the old row survives).
-      if (row.status().IsRetryableTx()) continue;
       return row.status();
     }
-    hops::Status st = tx->Write(schema_->leader, kv::Row{id, counter + 1, location_});
-    if (!st.ok()) continue;
-    st = tx->Commit();
-    if (st.ok()) {
-      id_ = id;
-      return hops::Status::Ok();
-    }
-    if (!st.IsRetryableTx()) return st;
-  }
-  return hops::Status::TxAborted("could not resume namenode identity");
+    // A long-dead row may have been evicted by the leader; re-create it
+    // (counter continuity only matters while the old row survives).
+    HOPS_RETURN_IF_ERROR(tx->Write(schema_->leader, kv::Row{id, counter + 1, location_}));
+    HOPS_RETURN_IF_ERROR(tx->Commit());
+    id_ = id;
+    return hops::Status::Ok();
+  });
 }
 
 hops::Status LeaderElection::Heartbeat() {
   // Bump our counter and snapshot the whole (small) leader table.
   std::vector<kv::Row> rows;
-  for (int attempt = 0; attempt < 8; ++attempt) {
+  HOPS_RETURN_IF_ERROR(RetryUntilTimeout(*config_, "heartbeat", RetryOn::kTxAbort, [&] {
     auto tx = db_->Begin(kv::TxHint{schema_->leader, static_cast<uint64_t>(id_)});
     auto mine = tx->Read(schema_->leader, {id_}, kv::LockMode::kExclusive);
-    if (!mine.ok()) {
-      if (mine.status().IsRetryableTx()) continue;
-      return mine.status();
-    }
+    if (!mine.ok()) return mine.status();
     kv::Row updated = *mine;
     updated[col::kLeaderCounter] = updated[col::kLeaderCounter].i64() + 1;
-    hops::Status st = tx->Update(schema_->leader, std::move(updated));
-    if (!st.ok()) continue;
+    HOPS_RETURN_IF_ERROR(tx->Update(schema_->leader, std::move(updated)));
     auto all = tx->FullTableScan(schema_->leader);
-    if (!all.ok()) {
-      if (all.status().IsRetryableTx()) continue;
-      return all.status();
-    }
-    st = tx->Commit();
-    if (st.ok()) {
-      rows = *std::move(all);
-      break;
-    }
-    if (!st.IsRetryableTx()) return st;
-    if (attempt == 7) return st;
-  }
+    if (!all.ok()) return all.status();
+    HOPS_RETURN_IF_ERROR(tx->Commit());
+    rows = *std::move(all);
+    return hops::Status::Ok();
+  }));
 
   std::vector<NamenodeId> dead;
   {

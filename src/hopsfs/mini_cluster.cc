@@ -35,12 +35,9 @@ hops::Status ValidateOptions(const MiniClusterOptions& o) {
   if (o.fs.num_handlers < 0) {
     return hops::Status::InvalidArgument("fs.num_handlers must be >= 0 (0 = inline execution)");
   }
-  if (o.fs.max_tx_retries < 1) {
+  if (o.fs.op_timeout.count() <= 0) {
     return hops::Status::InvalidArgument(
-        "fs.max_tx_retries must be >= 1 (every transactional op needs at least one attempt)");
-  }
-  if (o.fs.max_subtree_wait_retries < 0) {
-    return hops::Status::InvalidArgument("fs.max_subtree_wait_retries must be >= 0");
+        "fs.op_timeout must be > 0 (a zero timeout fails every op at its first retryable abort)");
   }
   if (o.fs.random_partition_depth < 0) {
     return hops::Status::InvalidArgument("fs.random_partition_depth must be >= 0");

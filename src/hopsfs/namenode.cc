@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "hopsfs/partition.h"
+#include "hopsfs/retry.h"
 #include "util/clock.h"
 
 namespace hops::fs {
@@ -46,25 +47,18 @@ FileStatus StatusFromInode(const Inode& n, std::string path) {
 hops::Result<int64_t> IdAllocator::Next() {
   std::lock_guard<std::mutex> lock(mu_);
   if (next_ >= limit_) {
-    for (int attempt = 0; attempt < 16; ++attempt) {
+    const int64_t chunk = config_->id_chunk_size;
+    HOPS_RETURN_IF_ERROR(RetryUntilTimeout(*config_, "id allocation", RetryOn::kTxAbort, [&] {
       auto tx = db_->Begin(kv::TxHint{schema_->variables, static_cast<uint64_t>(var_id_)});
       auto row = tx->Read(schema_->variables, {var_id_}, kv::LockMode::kExclusive);
-      if (!row.ok()) {
-        if (row.status().IsRetryableTx()) continue;
-        return row.status();
-      }
-      int64_t base = (*row)[col::kVarValue].i64();
-      hops::Status st = tx->Update(schema_->variables, kv::Row{var_id_, base + chunk_});
-      if (!st.ok()) continue;
-      st = tx->Commit();
-      if (st.ok()) {
-        next_ = base;
-        limit_ = base + chunk_;
-        break;
-      }
-      if (!st.IsRetryableTx()) return st;
-    }
-    if (next_ >= limit_) return hops::Status::TxAborted("id allocation failed");
+      if (!row.ok()) return row.status();
+      const int64_t base = (*row)[col::kVarValue].i64();
+      HOPS_RETURN_IF_ERROR(tx->Update(schema_->variables, kv::Row{var_id_, base + chunk}));
+      HOPS_RETURN_IF_ERROR(tx->Commit());
+      next_ = base;
+      limit_ = base + chunk;
+      return hops::Status::Ok();
+    }));
   }
   return next_++;
 }
@@ -83,8 +77,8 @@ Namenode::Namenode(kv::Engine* db, const MetadataSchema* schema, const FsConfig*
                    : nullptr),
       election_(db, schema, config, std::move(location)),
       hint_cache_(config->hint_cache_capacity),
-      inode_ids_(db, schema, kVarNextInodeId, config->id_chunk_size),
-      block_ids_(db, schema, kVarNextBlockId, config->id_chunk_size) {
+      inode_ids_(db, schema, config, kVarNextInodeId),
+      block_ids_(db, schema, config, kVarNextBlockId) {
   root_.parent_id = kInvalidInode;
   root_.name = "";
   root_.id = kRootInode;
@@ -173,7 +167,6 @@ void Namenode::SetDatanodePicker(std::function<std::vector<DatanodeId>(int)> pic
 
 hops::Status Namenode::RunTx(std::optional<kv::TxHint> hint,
                              const std::function<hops::Status(kv::Txn&)>& body) {
-  int subtree_waits = 0;
   const bool want_trace = tracing_.load(std::memory_order_relaxed);
   // With a handler pool, each ATTEMPT holds one handler slot, while the
   // retry loop -- and in particular its subtree-wait backoff sleeps -- runs
@@ -182,50 +175,13 @@ hops::Status Namenode::RunTx(std::optional<kv::TxHint> hint,
   // and sleeping waiters would starve it (priority inversion). Applier-issued
   // work takes no slot: the apply pool already bounds its own concurrency,
   // and gating it would both cap the drain at num_handlers and let
-  // background applies crowd client ops out of the pool.
+  // background applies crowd client ops out of the pool. An active subtree
+  // operation owning part of the path is waited out like an abort (§6.3).
   const bool gated = handlers_ != nullptr && !IntentLog::OnApplierThread();
-  int64_t conflict_deadline_us = 0;  // set by the first OCC conflict
-  for (int attempt = 0;;) {
-    hops::Status st = gated ? handlers_->Run([&] { return RunTxAttempt(hint, body, want_trace); })
-                            : RunTxAttempt(hint, body, want_trace);
-    if (st.ok()) return st;
-    if (st.code() == hops::StatusCode::kSubtreeLocked) {
-      // An active subtree operation owns part of the path: voluntarily back
-      // off and retry once the lock clears (§6.3).
-      if (++subtree_waits > config_->max_subtree_wait_retries) return st;
-      auto backoff = config_->subtree_retry_backoff * std::min(subtree_waits, 8);
-      std::this_thread::sleep_for(backoff);
-      continue;
-    }
-    if (st.IsRetryableTx()) {
-      if (st.code() == hops::StatusCode::kConflict) {
-        // OCC commit-time validation lost the race. Unlike a lock timeout
-        // (where the 2PL engine already made us wait our turn), an optimistic
-        // conflict returns instantly, so immediate retries of hot-key
-        // contenders livelock each other. Back off with a capped exponential
-        // delay before re-running the whole optimistic attempt.
-        auto backoff = std::chrono::microseconds(50) * (1 << std::min(attempt, 6));
-        if (conflict_deadline_us == 0) {
-          conflict_deadline_us =
-              MonotonicMicros() +
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  db_->config().lock_wait_timeout)
-                  .count();
-        }
-        std::this_thread::sleep_for(backoff);
-      }
-      if (++attempt < config_->max_tx_retries) continue;
-      // Out of attempts, but a conflict means another transaction committed:
-      // keep retrying for as long as a 2PL waiter would wait for the same
-      // row, so a hot writer cannot starve this one into a failure.
-      if (st.code() == hops::StatusCode::kConflict && MonotonicMicros() < conflict_deadline_us) {
-        continue;
-      }
-      break;
-    }
-    return st;
-  }
-  return hops::Status::TxAborted("operation exhausted its transaction retries");
+  return RetryUntilTimeout(*config_, /*stage=*/{}, RetryOn::kTxAbortOrSubtreeLock, [&] {
+    return gated ? handlers_->Run([&] { return RunTxAttempt(hint, body, want_trace); })
+                 : RunTxAttempt(hint, body, want_trace);
+  });
 }
 
 hops::Status Namenode::RunTxAttempt(std::optional<kv::TxHint> hint,
@@ -772,14 +728,17 @@ hops::Status Namenode::Create(const std::string& path, const std::string& client
   // like WaitCovering.
   const std::string parent =
       JoinPath(std::vector<std::string>(components.begin(), components.end() - 1));
-  const auto deadline = std::chrono::steady_clock::now() + config_->intent_wait_timeout;
-  while (validated.status().code() == hops::StatusCode::kNotFound && PeerMkdirsPending(parent)) {
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return hops::Status::Unavailable("timed out waiting for a peer's mkdirs intent covering " +
-                                       parent + " to apply");
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    validated = ValidateAcknowledged(components, user, /*is_dir=*/false);
+  if (validated.status().code() == hops::StatusCode::kNotFound && PeerMkdirsPending(parent)) {
+    const auto deadline = std::chrono::steady_clock::now() + config_->op_timeout;
+    do {
+      if (std::chrono::steady_clock::now() >= deadline) {
+        return WaitTimedOut("peer mkdirs wait", config_->op_timeout,
+                            "a peer's mkdirs intent covering " + parent + " to apply");
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      validated = ValidateAcknowledged(components, user, /*is_dir=*/false);
+    } while (validated.status().code() == hops::StatusCode::kNotFound &&
+             PeerMkdirsPending(parent));
   }
   HOPS_RETURN_IF_ERROR(validated.status());
   // Reservation is the atomic conflict gate: two racing validated creates
@@ -1068,38 +1027,37 @@ void Namenode::AdoptOrphanedIntents(bool include_self) {
     // Per-publisher seq order is acknowledgment order; replay preserves it.
     std::sort(recs.begin(), recs.end(),
               [](const IntentRecord& a, const IntentRecord& b) { return a.seq < b.seq; });
-    for (const IntentRecord& rec : recs) {
-      hops::Status st;
-      for (int attempt = 0; attempt < 8; ++attempt) {
-        st = ApplyIntent(rec);
-        if (!st.IsRetryableTx()) break;
-      }
+    size_t replayed = 0;
+    for (; replayed < recs.size(); ++replayed) {
+      // ApplyIntent's transactions already retried for op_timeout.
+      hops::Status st = ApplyIntent(recs[replayed]);
       if (st.code() == hops::StatusCode::kFailover) return;  // we died mid-sweep
+      // A fault or subtree lock that outlasted the retries must not consume
+      // an acknowledged op: stop this publisher's replay here, and leave this
+      // record and the later ones (seq order) to the next heartbeat's sweep.
       // A terminal failure still consumes the record: replaying it forever
       // would wedge the partition behind one poisoned intent.
+      if (IsRetryable(st, RetryOn::kTxAbortOrSubtreeLock)) break;
       intents_adopted_.fetch_add(1, std::memory_order_relaxed);
     }
-    // Consume the partition: delete the replayed rows, tolerating rows a
-    // racing adopter already took. The publisher's intent_heads row is
-    // deliberately LEFT BEHIND: deleting it would restart that id's seq at 1
-    // if the "dead" namenode was merely stalled (or restarts under its old
-    // id), and a reused seq can collide with the old incarnation's cleaner
-    // deleting freshly acknowledged rows -- a lost ack. One inert two-column
-    // row per retired id is the price of monotonic sequences.
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      auto tx =
-          db_->Begin(kv::TxHint{schema_->op_intents, static_cast<uint64_t>(publisher)});
-      hops::Status st = hops::Status::Ok();
+    recs.resize(replayed);
+    if (recs.empty()) continue;
+    // Consume the replayed rows, tolerating rows a racing adopter already
+    // took. The publisher's intent_heads row is deliberately LEFT BEHIND:
+    // deleting it would restart that id's seq at 1 if the "dead" namenode
+    // was merely stalled (or restarts under its old id), and a reused seq can
+    // collide with the old incarnation's cleaner deleting freshly
+    // acknowledged rows -- a lost ack. One inert two-column row per retired
+    // id is the price of monotonic sequences. A delete that fails leaks rows
+    // that re-adopt idempotently.
+    (void)RetryUntilTimeout(*config_, "adoption cleanup", RetryOn::kTxAbort, [&] {
+      auto tx = db_->Begin(kv::TxHint{schema_->op_intents, static_cast<uint64_t>(publisher)});
       for (const IntentRecord& rec : recs) {
-        st = tx->Delete(schema_->op_intents, {rec.nn, rec.seq});
-        if (st.code() == hops::StatusCode::kNotFound) st = hops::Status::Ok();
-        if (!st.ok()) break;
+        hops::Status st = tx->Delete(schema_->op_intents, {rec.nn, rec.seq});
+        if (!st.ok() && st.code() != hops::StatusCode::kNotFound) return st;
       }
-      if (st.ok()) st = tx->Commit();
-      if (st.ok()) break;
-      if (tx->active()) tx->Abort();
-      if (!st.IsRetryableTx()) break;  // leaked rows re-adopt idempotently
-    }
+      return tx->Commit();
+    });
   }
 }
 

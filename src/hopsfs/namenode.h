@@ -33,17 +33,17 @@ namespace hops::fs {
 // in bulk so the counter row never becomes a write hotspot.
 class IdAllocator {
  public:
-  IdAllocator(kv::Engine* db, const MetadataSchema* schema, int64_t var_id,
-              int64_t chunk_size)
-      : db_(db), schema_(schema), var_id_(var_id), chunk_(chunk_size) {}
+  IdAllocator(kv::Engine* db, const MetadataSchema* schema, const FsConfig* config,
+              int64_t var_id)
+      : db_(db), schema_(schema), config_(config), var_id_(var_id) {}
 
   hops::Result<int64_t> Next();
 
  private:
   kv::Engine* const db_;
   const MetadataSchema* const schema_;
+  const FsConfig* const config_;
   const int64_t var_id_;
-  const int64_t chunk_;
   std::mutex mu_;
   int64_t next_ = 0;
   int64_t limit_ = 0;
@@ -228,8 +228,9 @@ class Namenode {
     bool target_must_exist = true;
   };
 
-  // Runs `body` inside a transaction with retries for lock timeouts, aborted
-  // transactions and subtree-lock waits (exponential backoff). With a
+  // Runs `body` inside a transaction, re-running it after lock timeouts,
+  // aborts, OCC conflicts and subtree-lock waits until FsConfig::op_timeout
+  // has passed since the first failure (RetryUntilTimeout's backoff). With a
   // handler pool configured, each attempt runs on the calling thread while
   // holding one of the namenode's handler slots (waiting for one if all are
   // busy); backoff sleeps hold no slot, and nested calls run inline on the
@@ -324,7 +325,8 @@ class Namenode {
   bool UseAsyncCommit() const { return intents_ != nullptr; }
   // Read-your-writes barrier: blocks while an acknowledged-but-unapplied
   // intent covers `path` (equals it, is an ancestor, or lies below it);
-  // kUnavailable if it is still covered after FsConfig::intent_wait_timeout.
+  // kUnavailable, naming the covering wait, if it is still covered
+  // FsConfig::op_timeout after the wait began.
   hops::Status WaitForPendingIntents(const std::string& path) const {
     return intents_ ? intents_->WaitCovering(path) : hops::Status::Ok();
   }

@@ -24,6 +24,7 @@
 
 #include "hopsfs/namenode.h"
 #include "hopsfs/partition.h"
+#include "hopsfs/retry.h"
 #include "util/clock.h"
 #include "util/thread_pool.h"
 
@@ -139,9 +140,9 @@ hops::Result<std::vector<Namenode::SubtreeNode>> Namenode::QuiesceLevel(
   std::vector<SubtreeNode> next_level;
   for (size_t base = 0; base < dirs.size(); base += kDirsPerTx) {
     const size_t end = std::min(dirs.size(), base + kDirsPerTx);
-    hops::Status st;
-    for (int attempt = 0; attempt < config_->max_tx_retries; ++attempt) {
-      st = hops::Status::Ok();
+    // An inner subtree lock ends the quiesce at once: waiting it out could
+    // deadlock two overlapping subtree operations.
+    HOPS_RETURN_IF_ERROR(RetryUntilTimeout(*config_, "subtree quiesce", RetryOn::kTxAbort, [&] {
       const size_t undo_mark = next_level.size();  // discard partial output on retry
       auto tx =
           db_->Begin(kv::TxHint{schema_->inodes, ChildrenPartitionValue(dirs[base]->id)});
@@ -164,6 +165,7 @@ hops::Result<std::vector<Namenode::SubtreeNode>> Namenode::QuiesceLevel(
         }
         return hops::Status::Ok();
       };
+      hops::Status st;
       for (size_t d = base; d < end && st.ok(); ++d) {
         const SubtreeNode* dir = dirs[d];
         if (ChildrenArePruned(dir->depth, config_->random_partition_depth)) {
@@ -184,12 +186,11 @@ hops::Result<std::vector<Namenode::SubtreeNode>> Namenode::QuiesceLevel(
       }
       if (st.ok()) {
         (void)tx->Commit();  // read-only: releases nothing but the tx slot
-        break;
+      } else {
+        next_level.resize(undo_mark);
       }
-      next_level.resize(undo_mark);
-      if (!st.IsRetryableTx()) return st;
-    }
-    if (!st.ok()) return st;  // chunk exhausted its retries
+      return st;
+    }));
   }
   return next_level;
 }

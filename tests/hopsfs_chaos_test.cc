@@ -332,6 +332,83 @@ TEST(AdoptionRaceTest, ConcurrentAdoptersNeverDoubleApplyOrStrandRecords) {
   }
 }
 
+// An adoption sweep whose apply is faulted past op_timeout must leave the
+// acknowledged intent in the log for the next sweep, not count it as adopted
+// and delete its row: an acknowledged op must eventually apply.
+TEST(AdoptionFaultTest, FaultedApplyLeavesTheAcknowledgedIntentForTheNextSweep) {
+  MiniClusterOptions o;
+  o.db.num_datanodes = 4;
+  o.db.replication = 2;
+  o.fs.async_metadata_commit = true;
+  o.fs.op_timeout = std::chrono::milliseconds(100);
+  o.num_namenodes = 2;
+  auto cluster_or = MiniCluster::Start(o);
+  ASSERT_TRUE(cluster_or.ok()) << cluster_or.status().ToString();
+  auto cluster = *std::move(cluster_or);
+
+  Namenode& survivor = cluster->namenode(0);
+  Namenode& victim = cluster->namenode(1);
+  ASSERT_TRUE(victim.Mkdirs("/ad").ok());
+  victim.FlushIntents();
+  victim.SetIntentApplierPausedForTesting(true);
+  ASSERT_TRUE(victim.Create("/ad/f", "writer").ok());
+  cluster->KillNamenode(1);
+  const size_t acked_rows = cluster->db().TableRowCount(cluster->schema().op_intents);
+  ASSERT_GT(acked_rows, 0u);
+
+  // The leader's heartbeat adopts as soon as the victim ages out of its
+  // membership view, so the fault is armed first: those sweeps and the
+  // explicit one all meet it.
+  kv::FaultInjector& inj = cluster->db().fault_injector();
+  inj.Seed(1);
+  inj.Arm(cluster->schema().inodes, {/*error_probability=*/1.0, 0.0, std::chrono::microseconds{0}});
+  for (int round = 0; round < 6; ++round) (void)survivor.Heartbeat();
+  survivor.AdoptOrphanedIntentsForTesting();
+  EXPECT_EQ(cluster->db().TableRowCount(cluster->schema().op_intents), acked_rows)
+      << "a faulted apply must not consume the acknowledged intent";
+  EXPECT_EQ(cluster->AggregateIntentStats().intents_adopted, 0u);
+
+  inj.Disarm(cluster->schema().inodes);
+  survivor.AdoptOrphanedIntentsForTesting();
+  EXPECT_EQ(cluster->db().TableRowCount(cluster->schema().op_intents), 0u);
+  auto info = survivor.GetFileInfo("/ad/f");
+  EXPECT_TRUE(info.ok()) << info.status().ToString();
+}
+
+// --- Fault burst ---------------------------------------------------------------
+
+// Transient faults on every table are ridden out by backoff under the one
+// op_timeout: a burst at p = 0.3 fails no op.
+TEST(FaultBurstTest, OpsRideOutATransientFaultBurst) {
+  MiniClusterOptions o;
+  o.db.num_datanodes = 4;
+  o.db.replication = 2;
+  auto cluster_or = MiniCluster::Start(o);
+  ASSERT_TRUE(cluster_or.ok()) << cluster_or.status().ToString();
+  auto cluster = *std::move(cluster_or);
+  Namenode& nn = cluster->namenode(0);
+  ASSERT_TRUE(nn.Mkdirs("/burst").ok());
+  ASSERT_TRUE(nn.Create("/burst/seed", "writer").ok());
+
+  kv::FaultInjector& inj = cluster->db().fault_injector();
+  inj.Seed(5);
+  inj.Arm(kv::FaultInjector::kAllTables,
+          {/*error_probability=*/0.3, 0.0, std::chrono::microseconds{0}});
+  std::vector<std::string> failures;
+  for (int i = 0; i < 20; ++i) {
+    auto info = nn.GetFileInfo("/burst/seed");
+    if (!info.ok()) failures.push_back(info.status().ToString());
+  }
+  for (int i = 0; i < 20; ++i) {
+    hops::Status st = nn.Create("/burst/f" + std::to_string(i), "writer");
+    if (!st.ok()) failures.push_back(st.ToString());
+  }
+  inj.DisarmAll();
+  EXPECT_GT(inj.injected_errors(), 0u);
+  EXPECT_TRUE(failures.empty()) << failures.size() << " of 40 ops failed, first: "
+                                << (failures.empty() ? "" : failures.front());
+}
+
 // --- Resumed-identity restart (satellite: old nn_id mid-drain) ---------------
 
 TEST(RestartSameIdTest, ResumedNamenodeDrainsItsOwnBacklogAndKeepsLiveness) {

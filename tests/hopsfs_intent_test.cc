@@ -97,16 +97,16 @@ TEST_F(IntentLogTest, CreateAcksBeforeApplyAndReadWaitsForIt) {
   EXPECT_EQ(cluster_->db().TableRowCount(cluster_->schema().op_intents), 0u);
 }
 
-// A covering wait that outlasts FsConfig::intent_wait_timeout fails the op
-// with a retryable kUnavailable: it must neither hang nor quietly run
-// against committed state that lacks the acknowledged create (which would
-// report NotFound for a file the client was told exists).
+// A covering wait that outlasts FsConfig::op_timeout fails the op with a
+// retryable kUnavailable that names the covering wait: it must neither hang
+// nor quietly run against committed state that lacks the acknowledged create
+// (which would report NotFound for a file the client was told exists).
 TEST(IntentWaitTimeoutTest, CoveringWaitTimeoutFailsTheOpInsteadOfReadingStale) {
   MiniClusterOptions options;
   options.db.num_datanodes = 4;
   options.db.replication = 2;
   options.fs.async_metadata_commit = true;
-  options.fs.intent_wait_timeout = std::chrono::milliseconds(50);
+  options.fs.op_timeout = std::chrono::milliseconds(50);
   options.num_namenodes = 1;
   auto made = MiniCluster::Start(options);
   ASSERT_TRUE(made.ok()) << made.status().ToString();
@@ -120,6 +120,9 @@ TEST(IntentWaitTimeoutTest, CoveringWaitTimeoutFailsTheOpInsteadOfReadingStale) 
   auto info = nn.GetFileInfo("/d/f");
   ASSERT_FALSE(info.ok()) << "a timed-out covering wait must not serve committed state";
   EXPECT_EQ(info.status().code(), hops::StatusCode::kUnavailable) << info.status().ToString();
+  EXPECT_NE(info.status().message().find("covering wait: op_timeout 50 ms passed"),
+            std::string::npos)
+      << info.status().ToString();
   EXPECT_GE(nn.intent_stats().covering_waits, 1u);
 
   // Once the applier runs again, a retry observes the acknowledged create.
@@ -397,7 +400,7 @@ TEST(IntentParityTest, StatusesMatchTheSyncPathRowByRow) {
     options.db.replication = 2;
     options.fs.async_metadata_commit = async;
     // A stray covering wait in the paused leg fails fast instead of hanging.
-    options.fs.intent_wait_timeout = std::chrono::milliseconds(2000);
+    options.fs.op_timeout = std::chrono::milliseconds(2000);
     options.num_namenodes = 1;
     auto cluster = MiniCluster::Start(options);
     EXPECT_TRUE(cluster.ok()) << cluster.status().ToString();

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
 #include <thread>
 
 #include "hopsfs/mini_cluster.h"
@@ -25,10 +27,26 @@ class SubtreeTest : public ::testing::Test {
     options.fs.subtree_parallelism = 2;
     options.num_namenodes = 3;
     options.num_datanodes = 3;
+    Configure(options);
     auto cluster = MiniCluster::Start(options);
     ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
     cluster_ = *std::move(cluster);
     client_ = std::make_unique<Client>(cluster_->NewClient(NamenodePolicy::kSticky, "c1"));
+  }
+
+  virtual void Configure(MiniClusterOptions& /*options*/) {}
+
+  // Sets (or, with kNoSubtreeLock, clears) the subtree lock flag of the
+  // top-level directory `name` by hand.
+  void SetSubtreeLockOwner(const std::string& name, NamenodeId owner) {
+    auto tx = cluster_->db().Begin();
+    auto row = tx->Read(cluster_->schema().inodes, {kRootInode, name},
+                        ndb::LockMode::kExclusive, HashBytes(name));
+    ASSERT_TRUE(row.ok());
+    Inode dir = InodeFromRow(*row);
+    dir.subtree_lock_owner = owner;
+    ASSERT_TRUE(tx->Update(cluster_->schema().inodes, ToRow(dir), HashBytes(name)).ok());
+    ASSERT_TRUE(tx->Commit().ok());
   }
 
   // Builds a 2-level tree under `base`: `dirs` subdirectories each holding
@@ -101,34 +119,45 @@ TEST_F(SubtreeTest, InodeOpWaitsForSubtreeLockRelease) {
   // an inode op from nn0 abort-and-retry until the flag clears.
   Namenode& owner = cluster_->namenode(1);
   Namenode& worker = cluster_->namenode(0);
-  {
-    auto tx = cluster_->db().Begin();
-    auto row = tx->Read(cluster_->schema().inodes, {kRootInode, std::string("locked")},
-                        ndb::LockMode::kExclusive, HashBytes("locked"));
-    ASSERT_TRUE(row.ok());
-    Inode dir = InodeFromRow(*row);
-    dir.subtree_lock_owner = owner.id();
-    ASSERT_TRUE(tx->Update(cluster_->schema().inodes, ToRow(dir), HashBytes("locked")).ok());
-    ASSERT_TRUE(tx->Commit().ok());
-  }
+  SetSubtreeLockOwner("locked", owner.id());
   std::atomic<bool> created{false};
   std::thread t([&] {
     if (worker.Create("/locked/newfile", "c9").ok()) created.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(created.load()) << "op must back off while the subtree lock is held";
-  {
-    auto tx = cluster_->db().Begin();
-    auto row = tx->Read(cluster_->schema().inodes, {kRootInode, std::string("locked")},
-                        ndb::LockMode::kExclusive, HashBytes("locked"));
-    ASSERT_TRUE(row.ok());
-    Inode dir = InodeFromRow(*row);
-    dir.subtree_lock_owner = kNoSubtreeLock;
-    ASSERT_TRUE(tx->Update(cluster_->schema().inodes, ToRow(dir), HashBytes("locked")).ok());
-    ASSERT_TRUE(tx->Commit().ok());
-  }
+  SetSubtreeLockOwner("locked", kNoSubtreeLock);
   t.join();
   EXPECT_TRUE(created.load()) << "op must proceed once the lock clears";
+}
+
+class SubtreeOpTimeoutTest : public SubtreeTest {
+ protected:
+  void Configure(MiniClusterOptions& options) override {
+    options.fs.op_timeout = std::chrono::milliseconds(100);
+  }
+};
+
+// A subtree lock held past op_timeout fails the waiting inode op with the
+// lock's own status code, no sooner than the timeout and no later than one
+// capped (16 ms) backoff step after it, plus slack for a loaded host; the
+// message names the stage that spent the time.
+TEST_F(SubtreeOpTimeoutTest, InodeOpGivesUpOnAHeldSubtreeLockAfterOpTimeout) {
+  BuildTree("/locked", 2, 4);
+  SetSubtreeLockOwner("locked", cluster_->namenode(1).id());
+  constexpr auto kTimeout = std::chrono::milliseconds(100);
+  constexpr auto kBackoffStep = std::chrono::milliseconds(16);
+  constexpr auto kSlack = std::chrono::milliseconds(84);
+  const auto start = std::chrono::steady_clock::now();
+  hops::Status st = cluster_->namenode(0).Create("/locked/newfile", "c9");
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(st.code(), hops::StatusCode::kSubtreeLocked) << st.ToString();
+  EXPECT_NE(st.message().find("subtree wait: op_timeout 100 ms passed after"), std::string::npos)
+      << st.ToString();
+  EXPECT_GE(waited, kTimeout);
+  EXPECT_LE(waited, kTimeout + kBackoffStep + kSlack);
+  SetSubtreeLockOwner("locked", kNoSubtreeLock);
+  EXPECT_TRUE(cluster_->namenode(0).Create("/locked/newfile", "c9").ok());
 }
 
 TEST_F(SubtreeTest, DeadOwnerSubtreeLockIsLazilyCleared) {

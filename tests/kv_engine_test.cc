@@ -88,8 +88,8 @@ TEST(MiniClusterValidationTest, RejectsImpossibleTopology) {
 
 TEST(MiniClusterValidationTest, RejectsNonsenseFsKnobs) {
   MiniClusterOptions o;
-  o.fs.max_tx_retries = 0;
-  ExpectStartRejects(o, "fs.max_tx_retries");
+  o.fs.op_timeout = std::chrono::milliseconds(0);
+  ExpectStartRejects(o, "fs.op_timeout");
 
   MiniClusterOptions o2;
   o2.fs.subtree_delete_batch = 0;
