@@ -14,6 +14,9 @@ namespace {
 
 thread_local bool t_on_applier = false;
 
+// EligibleIndexLocked's "nothing can apply now".
+constexpr size_t kNoIntent = static_cast<size_t>(-1);
+
 // True when one path covers the other: equal, or one is a path-component
 // prefix of the other ("/a/b" relates to "/a/b/c" but not to "/a/bc").
 bool PrefixRelated(const std::string& a, const std::string& b) {
@@ -65,6 +68,11 @@ IntentRecord IntentFromRow(const kv::Row& r) {
   return rec;
 }
 
+bool IntentApplyRetryable(const hops::Status& st) {
+  return IsRetryable(st, RetryOn::kTxAbortOrSubtreeLock) ||
+         st.code() == hops::StatusCode::kUnavailable;
+}
+
 bool IntentLog::OnApplierThread() { return t_on_applier; }
 
 IntentLog::ApplierScope::ApplierScope() : prev_(t_on_applier) { t_on_applier = true; }
@@ -100,7 +108,7 @@ void IntentLog::Stop() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  cv_.notify_all();
+  NotifyAll();
   if (applier_.joinable()) applier_.join();
   if (cleaner_.joinable()) cleaner_.join();
   for (auto& w : apply_workers_) w.join();
@@ -112,7 +120,14 @@ void IntentLog::Abandon() {
     std::lock_guard<std::mutex> lock(mu_);
     abandoned_ = true;
   }
+  NotifyAll();
+}
+
+void IntentLog::NotifyAll() {
   cv_.notify_all();
+  append_cv_.notify_all();
+  claim_cv_.notify_all();
+  cleaner_cv_.notify_all();
 }
 
 void IntentLog::SetTraceSink(std::function<void(const kv::CostTrace&)> sink) {
@@ -133,8 +148,12 @@ std::optional<IntentLog::PendingInfo> IntentLog::LookupPending(const std::string
 bool IntentLog::HasPendingPrefix(const std::string& path) const {
   if (pending_count_.load(std::memory_order_acquire) == 0) return false;
   std::lock_guard<std::mutex> lock(mu_);
+  return PendingSelfOrAncestorLocked(path);
+}
+
+bool IntentLog::PendingSelfOrAncestorLocked(std::string_view path) const {
   if (pending_.count(path) > 0) return true;
-  for (size_t pos = path.find('/', 1); pos != std::string::npos;
+  for (size_t pos = path.find('/', 1); pos != std::string_view::npos;
        pos = path.find('/', pos + 1)) {
     if (pending_.count(path.substr(0, pos)) > 0) return true;
   }
@@ -184,18 +203,14 @@ void IntentLog::ReleaseOneLocked(const std::string& path) {
   if (--it->second.ops <= 0) {
     pending_.erase(it);
     pending_count_.fetch_sub(1, std::memory_order_release);
+    cv_.notify_all();  // covering readers and Flush
   }
 }
 
 bool IntentLog::CoveredLocked(const std::string& path) const {
   if (pending_.empty()) return false;
   if (path == "/") return true;
-  // Exact entry or a pending strict ancestor.
-  if (pending_.count(path) > 0) return true;
-  for (size_t pos = path.find('/', 1); pos != std::string::npos;
-       pos = path.find('/', pos + 1)) {
-    if (pending_.count(path.substr(0, pos)) > 0) return true;
-  }
+  if (PendingSelfOrAncestorLocked(path)) return true;
   // A pending path strictly below `path` (listing / subtree dependence).
   const std::string below = path + "/";
   auto it = pending_.lower_bound(below);
@@ -230,7 +245,7 @@ void IntentLog::SetApplierPausedForTesting(bool paused) {
     std::lock_guard<std::mutex> lock(mu_);
     applier_paused_ = paused;
   }
-  cv_.notify_all();
+  NotifyAll();
 }
 
 void IntentLog::SetAppendHoldForTesting(bool hold) {
@@ -238,7 +253,7 @@ void IntentLog::SetAppendHoldForTesting(bool hold) {
     std::lock_guard<std::mutex> lock(mu_);
     append_hold_ = hold;
   }
-  cv_.notify_all();
+  NotifyAll();
 }
 
 size_t IntentLog::QueuedAppendsForTesting() const {
@@ -256,7 +271,7 @@ void IntentLog::SetCleanerPausedForTesting(bool paused) {
     std::lock_guard<std::mutex> lock(mu_);
     cleaner_paused_ = paused;
   }
-  cv_.notify_all();
+  NotifyAll();
 }
 
 bool IntentLog::CrashAt(std::string_view point) {
@@ -302,7 +317,7 @@ hops::Status IntentLog::Submit(IntentRecord rec) {
         return hops::Status::Unavailable("intent log stopped");
       }
       // Already claimed by an in-flight leader; its outcome decides.
-      cv_.wait(lock, [&] { return w->done; });
+      append_cv_.wait(lock, [&] { return w->done; });
       return w->result;
     }
     if (!appending_ && !append_hold_ && !append_queue_.empty()) {
@@ -326,10 +341,16 @@ hops::Status IntentLog::Submit(IntentRecord rec) {
         b->result = st;
         b->done = true;
       }
-      cv_.notify_all();
+      // Followers: the batch's own are done, and a later one may lead next.
+      append_cv_.notify_all();
+      // Wake one claimer only if the batch left something it can take; the
+      // claimers pass the baton on from there.
+      if (st.ok() && !applier_paused_ && EligibleIndexLocked() != kNoIntent) {
+        claim_cv_.notify_one();
+      }
       continue;  // our own waiter was in the drained queue, so done is set
     }
-    cv_.wait(lock);
+    append_cv_.wait(lock);
   }
 }
 
@@ -387,8 +408,8 @@ void IntentLog::ApplierLoop() {
 // intent -- the second check is what keeps per-path apply order equal to
 // acknowledgment order (a later op on a path never overtakes an earlier
 // one). The scan is budgeted so a deep queue of mutually related intents
-// does not turn every claim into a quadratic walk; blocked claimers are
-// re-woken as applies finish. Returns npos when nothing in budget is
+// does not turn every claim into a quadratic walk; a claimer re-scans when
+// its own apply finishes. Returns kNoIntent when nothing in budget is
 // eligible.
 size_t IntentLog::EligibleIndexLocked() const {
   const size_t budget =
@@ -407,26 +428,34 @@ size_t IntentLog::EligibleIndexLocked() const {
     }
     if (!blocked) return i;
   }
-  return static_cast<size_t>(-1);
+  return kNoIntent;
 }
 
 void IntentLog::ApplyClaimLoop() {
   ApplierScope scope;
-  constexpr size_t kNone = static_cast<size_t>(-1);
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    size_t idx = kNone;
-    cv_.wait(lock, [&] {
+    // Checked before sleeping, so a claimer whose apply just finished takes
+    // whatever that finish unblocked without anyone waking it.
+    size_t idx = kNoIntent;
+    bool woke = false;
+    claim_cv_.wait(lock, [&] {
       if (stop_ || abandoned_) return true;
-      if (applier_paused_ || apply_queue_.empty()) return false;
-      idx = EligibleIndexLocked();
-      return idx != kNone;
+      if (!applier_paused_ && !apply_queue_.empty()) {
+        idx = EligibleIndexLocked();
+        if (idx != kNoIntent) return true;
+      }
+      if (woke) idle_wakeups_.fetch_add(1, std::memory_order_relaxed);
+      woke = true;
+      return false;
     });
     if (stop_ || abandoned_) return;
     IntentRecord rec = std::move(apply_queue_[idx]);
     apply_queue_.erase(apply_queue_.begin() + static_cast<ptrdiff_t>(idx));
     in_flight_.push_back(rec.path);
     ++applying_;
+    // Pass the baton: one more claimer, only if it will find work.
+    if (EligibleIndexLocked() != kNoIntent) claim_cv_.notify_one();
     lock.unlock();
 
     hops::Status result = ApplyOneWithRetry(rec);
@@ -445,7 +474,8 @@ void IntentLog::ApplyClaimLoop() {
       // The namenode died under us: leave the rows (and pending entries)
       // for the leader's adoption and park every stage.
       abandoned_ = true;
-      cv_.notify_all();
+      lock.unlock();
+      NotifyAll();
       return;
     }
     // Exactly-once modulo idempotent replay: the row is deleted only after
@@ -454,6 +484,7 @@ void IntentLog::ApplyClaimLoop() {
     // which merges applied intents into chunked transactions; a crash in
     // the window re-applies idempotently.
     cleanup_queue_.push_back(rec);
+    cleaner_cv_.notify_one();
     applied_.fetch_add(1, std::memory_order_relaxed);
     if (!result.ok()) {
       // Terminal failure of an acknowledged op -- by design only reachable
@@ -469,25 +500,23 @@ void IntentLog::ApplyClaimLoop() {
                                   std::memory_order_relaxed);
     }
     ReleaseOneLocked(rec.path);
-    // Finishing this path may unblock queued intents for other claimers,
-    // and Flush/WaitCovering waiters watch the same condition.
-    cv_.notify_all();
+    if (applying_ == 0) cv_.notify_all();  // Flush
   }
 }
 
 hops::Status IntentLog::ApplyOneWithRetry(const IntentRecord& rec) {
   hops::Status st;
-  // A retryable conflict must never consume the intent -- the op was
-  // acknowledged, so contention retries are unbounded (capped backoff).
-  // Only terminal statuses fall through; if the log is shutting down
-  // mid-retry, park via the failover path so the rows survive for
-  // replay/adoption.
+  // A failure a later attempt can get past -- contention, a subtree lock, a
+  // node group down -- must never consume the intent: the op was
+  // acknowledged, so those retries are unbounded (capped backoff). Only
+  // terminal statuses fall through; if the log is shutting down mid-retry,
+  // park via the failover path so the rows survive for replay/adoption.
   if (CrashAt("apply:claimed")) {
     return hops::Status::Failover("crash injected before intent apply");
   }
   for (int attempt = 0;; ++attempt) {
     st = apply_(rec);
-    if (!st.IsRetryableTx()) break;
+    if (!IntentApplyRetryable(st)) break;
     {
       std::lock_guard<std::mutex> check(mu_);
       if (stop_ || abandoned_) {
@@ -503,7 +532,7 @@ void IntentLog::CleanerLoop() {
   ApplierScope scope;  // cleanup trips are background work in cost traces
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    cv_.wait(lock, [&] {
+    cleaner_cv_.wait(lock, [&] {
       return stop_ || abandoned_ || (!cleanup_queue_.empty() && !cleaner_paused_);
     });
     if (stop_ || abandoned_) return;  // leftover rows replay idempotently
@@ -531,7 +560,8 @@ void IntentLog::CleanerLoop() {
       // pause: adoption only sweeps dead namenodes' partitions, so a row
       // dropped here would stay in the live partition forever.
       cleanup_queue_.insert(cleanup_queue_.end(), failed.begin(), failed.end());
-      cv_.wait_for(lock, std::chrono::milliseconds(10), [&] { return stop_ || abandoned_; });
+      cleaner_cv_.wait_for(lock, std::chrono::milliseconds(10),
+                           [&] { return stop_ || abandoned_; });
     }
     cleaning_ = false;
     cv_.notify_all();  // Flush waiters
@@ -574,6 +604,7 @@ IntentLogStats IntentLog::stats() const {
   s.ack_latency_us = ack_latency_us_.load(std::memory_order_relaxed);
   s.apply_latency_us = apply_latency_us_.load(std::memory_order_relaxed);
   s.covering_waits = covering_waits_.load(std::memory_order_relaxed);
+  s.idle_wakeups = idle_wakeups_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -22,17 +22,38 @@
 // create under a pending mkdir validates against the acknowledged state.
 //
 // Crash semantics: an intent row is deleted only after its apply
-// transaction commits, so an acknowledged op survives namenode death in
-// the log. Replay is at-least-once -- every intent op is idempotent
-// (mkdirs/setattr re-apply cleanly; a re-applied create maps AlreadyExists
-// to applied) -- and dead namenodes' rows are adopted in seq order by the
-// leader's heartbeat (plus every namenode's own start-up sweep).
+// transaction commits or is rejected for good, so an acknowledged op
+// survives namenode death and outages in the log. An apply that fails in a
+// way a later attempt can get past (IntentApplyRetryable: an aborted
+// transaction, a lock or subtree-lock wait, an unavailable node group)
+// never consumes its intent: the claimer retries it until it commits or the
+// log stops, and adoption's replay leaves it for the next sweep. Replay is
+// at-least-once -- every intent op is idempotent (mkdirs/setattr re-apply
+// cleanly; a re-applied create maps AlreadyExists to applied) -- and dead
+// namenodes' rows are adopted in seq order by the leader's heartbeat (plus
+// every namenode's own start-up sweep).
 //
 // Appends group-commit on the submitting threads themselves (no dedicated
 // appender thread, so the ack path pays no cross-thread handoff): the first
 // submitter to find no append in flight leads, draining everything queued
 // while the previous append transaction was running into ONE transaction
 // under a single head X-lock (intents_coalesced counts the sharing).
+//
+// Who wakes whom. One mutex guards the log; each kind of waiter sleeps on
+// its own condition variable and is woken only by the state change its
+// predicate reads:
+//   append_cv_   append followers. The leader notifies all when its batch is
+//                done (and the test hold notifies on release).
+//   claim_cv_    claimers. Baton passing, one at a time: the append leader
+//                wakes one claimer when its batch left an eligible intent, a
+//                claimer that takes an intent wakes one more while another
+//                stays eligible, and a claimer that finishes an apply wakes
+//                nobody -- it re-checks the queue itself before it sleeps.
+//   cleaner_cv_  the cleaner, woken when an applied record joins its queue.
+//   cv_          covering readers and Flush, woken when a pending entry is
+//                erased, when the last in-flight apply finishes and when a
+//                cleaner pass ends.
+// Stop, Abandon and the test pauses notify all four.
 #pragma once
 
 #include <atomic>
@@ -85,6 +106,12 @@ struct IntentRecord {
 kv::Row ToRow(const IntentRecord& rec);
 IntentRecord IntentFromRow(const kv::Row& row);
 
+// True when an intent's apply failed in a way a later attempt can get past:
+// a retryable transaction failure, an active subtree lock, or an unavailable
+// partition (every member of its node group down). The intent stays in the
+// log; any other failure is terminal and consumes it.
+bool IntentApplyRetryable(const hops::Status& st);
+
 struct IntentLogStats {
   uint64_t intents_appended = 0;
   uint64_t intents_applied = 0;
@@ -96,6 +123,8 @@ struct IntentLogStats {
   uint64_t ack_latency_us = 0;    // submit -> durable in the log, summed
   uint64_t apply_latency_us = 0;  // submit -> apply commit, summed
   uint64_t covering_waits = 0;    // WaitCovering calls that actually blocked
+  // Times a claimer woke, found no eligible intent and slept again.
+  uint64_t idle_wakeups = 0;
 };
 
 class IntentLog {
@@ -241,8 +270,8 @@ class IntentLog {
   // applied since its last pass into chunked transactions. Flush() waits for
   // it; a crash in the applied-but-undeleted window re-applies idempotently.
   void CleanerLoop();
-  // Applies `rec`, retrying retryable conflicts forever (capped backoff);
-  // kFailover when the log is stopping/abandoned mid-retry.
+  // Applies `rec`, retrying IntentApplyRetryable failures until it commits
+  // (capped backoff); kFailover when the log is stopping/abandoned mid-retry.
   hops::Status ApplyOneWithRetry(const IntentRecord& rec);
   // One group-commit append transaction for `batch` (seq allocation under
   // the owner's intent_heads X-lock, one insert per record, head bump).
@@ -250,10 +279,15 @@ class IntentLog {
   // Deletes the applied intents' rows (tolerating rows already deleted by a
   // racing adopter). Returns false when the delete did not commit.
   bool DeleteIntentRows(const std::vector<IntentRecord>& recs);
+  // mu_ held. True when `path` or one of its strict ancestors is pending.
+  bool PendingSelfOrAncestorLocked(std::string_view path) const;
   // mu_ held. True when some pending path covers `path` (see WaitCovering).
   bool CoveredLocked(const std::string& path) const;
-  // mu_ held. Drops one reserved op from `path`'s entry.
+  // mu_ held. Drops one reserved op from `path`'s entry; erasing the entry
+  // wakes covering readers and Flush.
   void ReleaseOneLocked(const std::string& path);
+  // Wakes every waiter of every kind (stop, abandon, test pauses).
+  void NotifyAll();
   // True -- after abandoning the log -- when the test hook elects to crash
   // at `point`. Must be called without mu_ held.
   bool CrashAt(std::string_view point);
@@ -269,8 +303,16 @@ class IntentLog {
   CrashHook crash_hook_;
 
   mutable std::mutex mu_;
+  // One condition variable per kind of waiter, all under mu_ (see the top
+  // comment): covering readers and Flush, append followers, claimers, and
+  // the cleaner.
   mutable std::condition_variable cv_;
-  std::map<std::string, Pending> pending_;  // joined path -> entry
+  std::condition_variable append_cv_;
+  std::condition_variable claim_cv_;
+  std::condition_variable cleaner_cv_;
+  // Joined path -> entry. Transparent, so lookups probe with string_view
+  // prefixes of a path without allocating.
+  std::map<std::string, Pending, std::less<>> pending_;
   std::deque<std::shared_ptr<AppendWaiter>> append_queue_;
   std::deque<IntentRecord> apply_queue_;
   bool appending_ = false;
@@ -294,7 +336,8 @@ class IntentLog {
   std::vector<std::string> in_flight_;
 
   std::atomic<uint64_t> appended_{0}, applied_{0}, coalesced_{0},
-      apply_failures_{0}, acked_ops_{0}, ack_latency_us_{0}, apply_latency_us_{0};
+      apply_failures_{0}, acked_ops_{0}, ack_latency_us_{0}, apply_latency_us_{0},
+      idle_wakeups_{0};
   // Bumped from const WaitCovering.
   mutable std::atomic<uint64_t> covering_waits_{0};
 };

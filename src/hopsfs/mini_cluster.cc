@@ -172,6 +172,7 @@ ClusterIntentStats MiniCluster::AggregateIntentStats() {
     out.log.ack_latency_us += s.ack_latency_us;
     out.log.apply_latency_us += s.apply_latency_us;
     out.log.covering_waits += s.covering_waits;
+    out.log.idle_wakeups += s.idle_wakeups;
     out.intents_adopted += nn.intents_adopted();
   };
   for (auto& nn : namenodes_) {

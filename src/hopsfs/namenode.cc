@@ -1032,12 +1032,13 @@ void Namenode::AdoptOrphanedIntents(bool include_self) {
       // ApplyIntent's transactions already retried for op_timeout.
       hops::Status st = ApplyIntent(recs[replayed]);
       if (st.code() == hops::StatusCode::kFailover) return;  // we died mid-sweep
-      // A fault or subtree lock that outlasted the retries must not consume
-      // an acknowledged op: stop this publisher's replay here, and leave this
-      // record and the later ones (seq order) to the next heartbeat's sweep.
-      // A terminal failure still consumes the record: replaying it forever
-      // would wedge the partition behind one poisoned intent.
-      if (IsRetryable(st, RetryOn::kTxAbortOrSubtreeLock)) break;
+      // A fault, subtree lock or node-group outage that outlasted the
+      // retries must not consume an acknowledged op: stop this publisher's
+      // replay here, and leave this record and the later ones (seq order) to
+      // the next heartbeat's sweep. A terminal failure still consumes the
+      // record: replaying it forever would wedge the partition behind one
+      // poisoned intent.
+      if (IntentApplyRetryable(st)) break;
       intents_adopted_.fetch_add(1, std::memory_order_relaxed);
     }
     recs.resize(replayed);

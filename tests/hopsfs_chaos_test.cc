@@ -1,9 +1,10 @@
 // Chaos harness tests: the seeded fault injector, fault-plan determinism,
 // the crash-point sweep (a namenode dies at EVERY intent-log boundary and
 // the replay must be idempotent with no lost ack), the adoption race (two
-// would-be leaders adopting a dead namenode's partition concurrently), the
-// resumed-identity restart regression, and the multi-seed smoke run of the
-// full harness with its three oracles.
+// would-be leaders adopting a dead namenode's partition concurrently), a
+// node-group outage under unapplied intents, the resumed-identity restart
+// regression, and the multi-seed smoke run of the full harness with its
+// three oracles.
 //
 // Seeds: HOPS_CHAOS_SEED runs one specific seed (reproducing a CI failure);
 // HOPS_CHAOS_LONG=1 widens the sweep for the nightly job.
@@ -373,6 +374,55 @@ TEST(AdoptionFaultTest, FaultedApplyLeavesTheAcknowledgedIntentForTheNextSweep) 
   EXPECT_EQ(cluster->db().TableRowCount(cluster->schema().op_intents), 0u);
   auto info = survivor.GetFileInfo("/ad/f");
   EXPECT_TRUE(info.ok()) << info.status().ToString();
+}
+
+// --- Node-group outage ----------------------------------------------------------
+
+// An apply that meets a node group with every member down fails with
+// kUnavailable. The group comes back, so that is no answer for an
+// acknowledged op: the claimer must keep the intent and retry it through the
+// outage instead of queueing its row for deletion and losing the file.
+TEST(NodeGroupOutageTest, AcknowledgedIntentsApplyAfterTheGroupReturns) {
+  for (kv::EngineKind engine : {kv::EngineKind::kNdb, kv::EngineKind::kOcc}) {
+    SCOPED_TRACE(std::string("engine=") + std::string(kv::EngineKindName(engine)));
+    MiniClusterOptions o;
+    o.db.num_datanodes = 4;
+    o.db.replication = 2;
+    o.fs.kv_engine = engine;
+    o.fs.async_metadata_commit = true;
+    o.fs.op_timeout = std::chrono::milliseconds(200);
+    o.num_namenodes = 1;
+    auto cluster_or = MiniCluster::Start(o);
+    ASSERT_TRUE(cluster_or.ok()) << cluster_or.status().ToString();
+    auto cluster = *std::move(cluster_or);
+    Namenode& nn = cluster->namenode(0);
+    ASSERT_TRUE(nn.Mkdirs("/ad").ok());
+    nn.FlushIntents();
+
+    constexpr int kFiles = 8;
+    nn.SetIntentApplierPausedForTesting(true);
+    for (int i = 0; i < kFiles; ++i) {
+      ASSERT_TRUE(nn.Create("/ad/f" + std::to_string(i), "writer").ok());
+    }
+    // Datanodes 0 and 1 are node group 0 (replication 2).
+    cluster->db().KillDatanode(0);
+    cluster->db().KillDatanode(1);
+    ASSERT_FALSE(cluster->db().Available());
+    nn.SetIntentApplierPausedForTesting(false);
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    cluster->db().RestartDatanode(0);
+    cluster->db().RestartDatanode(1);
+    nn.FlushIntents();
+
+    for (int i = 0; i < kFiles; ++i) {
+      const std::string path = "/ad/f" + std::to_string(i);
+      auto info = nn.GetFileInfo(path);
+      EXPECT_TRUE(info.ok()) << path << " was acknowledged but lost to the outage: "
+                             << info.status().ToString();
+    }
+    EXPECT_EQ(nn.intent_stats().apply_failures, 0u);
+    EXPECT_EQ(cluster->db().TableRowCount(cluster->schema().op_intents), 0u);
+  }
 }
 
 // --- Fault burst ---------------------------------------------------------------

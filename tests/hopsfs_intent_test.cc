@@ -9,6 +9,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <future>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -482,6 +485,175 @@ TEST_F(IntentLogTest, SyncModeNeverTouchesTheLog) {
   ClusterIntentStats stats = (*cluster)->AggregateIntentStats();
   EXPECT_EQ(stats.log.intents_appended, 0u);
   EXPECT_EQ(stats.log.acked_ops, 0u);
+}
+
+// Claimers are woken one at a time, and only when the log holds an intent
+// they can take. Serial creates under one directory each wait behind the
+// in-flight apply of their sibling, so at most one claimer has work at a
+// time: the other seven must stay asleep rather than wake on every append
+// and every apply, scan the queue and sleep again.
+TEST(IntentWakeupTest, SerialCreatesUnderOneDirectoryLeaveIdleClaimersAsleep) {
+  MiniClusterOptions options;
+  options.db.num_datanodes = 4;
+  options.db.replication = 2;
+  options.fs.async_metadata_commit = true;
+  options.fs.intent_apply_batch = 8;
+  options.num_namenodes = 1;
+  auto made = MiniCluster::Start(options);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  auto cluster = *std::move(made);
+  Namenode& nn = cluster->namenode(0);
+  ASSERT_TRUE(nn.Mkdirs("/serial").ok());
+  nn.FlushIntents();
+
+  const IntentLogStats before = nn.intent_stats();
+  constexpr int kCreates = 400;
+  for (int i = 0; i < kCreates; ++i) {
+    ASSERT_TRUE(nn.Create("/serial/f" + std::to_string(i), "w").ok());
+  }
+  nn.FlushIntents();
+  const IntentLogStats after = nn.intent_stats();
+  EXPECT_EQ(after.intents_applied - before.intents_applied, static_cast<uint64_t>(kCreates));
+  EXPECT_LT(after.idle_wakeups - before.idle_wakeups, 40u)
+      << "claimers woke with nothing to take";
+}
+
+// Runs `fn` under a watchdog, so that a lost wakeup fails the test instead
+// of hanging it: past `limit` namenode 0 is killed, which abandons its log
+// and releases every thread waiting in it.
+::testing::AssertionResult FinishesWithin(MiniCluster& cluster, std::chrono::seconds limit,
+                                          const char* what, std::function<void()> fn) {
+  auto done = std::async(std::launch::async, std::move(fn));
+  if (done.wait_for(limit) == std::future_status::ready) return ::testing::AssertionSuccess();
+  cluster.KillNamenode(0);
+  done.wait();
+  return ::testing::AssertionFailure()
+         << what << " did not finish within " << limit.count()
+         << " s: a waiter slept through the state change it waits for";
+}
+
+// No wakeup is lost: mixed creates, chmods, mkdirs and listings from four
+// threads, in one shared directory and in each thread's own, while the test
+// pauses and resumes the applier and holds and releases the append queue
+// mid-stream. Afterwards the log must drain (a claimer, follower or Flush
+// left asleep with work pending would hang it) and every acknowledged path
+// must exist. Runs one claimer and eight, on both engines. A short op
+// timeout turns an op stuck behind a lost wakeup into a failure, after which
+// the threads stop early.
+TEST(IntentWakeupTest, MixedLoadWithPausesAndHoldsDrainsAndLosesNoAck) {
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 120;
+  for (kv::EngineKind engine : {kv::EngineKind::kNdb, kv::EngineKind::kOcc}) {
+    for (int claimers : {1, 8}) {
+      SCOPED_TRACE(std::string("engine=") + std::string(kv::EngineKindName(engine)) +
+                   " intent_apply_batch=" + std::to_string(claimers));
+      MiniClusterOptions options;
+      options.db.num_datanodes = 4;
+      options.db.replication = 2;
+      options.fs.kv_engine = engine;
+      options.fs.async_metadata_commit = true;
+      options.fs.intent_apply_batch = claimers;
+      options.fs.op_timeout = std::chrono::seconds(2);
+      options.num_namenodes = 1;
+      auto made = MiniCluster::Start(options);
+      ASSERT_TRUE(made.ok()) << made.status().ToString();
+      auto cluster = *std::move(made);
+      Namenode& nn = cluster->namenode(0);
+      ASSERT_TRUE(nn.Mkdirs("/mix/shared").ok());
+      for (int t = 0; t < kThreads; ++t) {
+        ASSERT_TRUE(nn.Mkdirs("/mix/t" + std::to_string(t)).ok());
+      }
+      ASSERT_TRUE(FinishesWithin(*cluster, std::chrono::seconds(10), "FlushIntents",
+                                 [&] { nn.FlushIntents(); }));
+
+      std::atomic<int> ops_done{0};
+      std::atomic<bool> failed{false};
+      std::mutex acked_mu;
+      std::vector<std::string> acked;
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          const std::string own = "/mix/t" + std::to_string(t);
+          const std::string tag = std::to_string(t) + "_";
+          std::vector<std::string> mine;
+          const auto check = [&](bool ok) {
+            if (!ok) failed.store(true);
+            return ok;
+          };
+          for (int i = 0; i < kOpsPerThread && !failed.load(); ++i) {
+            const std::string dir = (i % 2 == 0) ? std::string("/mix/shared") : own;
+            const std::string n = tag + std::to_string(i);
+            switch (i % 4) {
+              case 0:
+              case 1: {
+                const std::string path = dir + "/f" + n;
+                hops::Status st = nn.Create(path, "w" + std::to_string(t));
+                EXPECT_TRUE(check(st.ok())) << path << ": " << st.ToString();
+                if (st.ok()) mine.push_back(path);
+                break;
+              }
+              case 2: {
+                const std::string path = dir + "/d" + n + "/leaf";
+                hops::Status st = nn.Mkdirs(path);
+                EXPECT_TRUE(check(st.ok())) << path << ": " << st.ToString();
+                if (st.ok()) mine.push_back(path);
+                if (!mine.empty()) {
+                  const std::string& target = mine[mine.size() / 2];
+                  hops::Status ch = nn.SetPermission(target, 0700);
+                  EXPECT_TRUE(check(ch.ok())) << target << ": " << ch.ToString();
+                }
+                break;
+              }
+              default: {
+                auto listing = nn.ListStatus(dir);
+                EXPECT_TRUE(check(listing.ok()))
+                    << dir << ": " << listing.status().ToString();
+                break;
+              }
+            }
+            ops_done.fetch_add(1, std::memory_order_relaxed);
+          }
+          std::lock_guard<std::mutex> lock(acked_mu);
+          acked.insert(acked.end(), mine.begin(), mine.end());
+        });
+      }
+
+      // Mid-stream: park the applier while appends continue, then park the
+      // appends too, then let both go in the opposite order.
+      const auto wait_for_ops = [&](int n) {
+        for (int spin = 0; spin < 2000 && ops_done.load() < n; ++spin) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      };
+      for (int round = 1; round <= 2; ++round) {
+        wait_for_ops(round * kThreads * kOpsPerThread / 3);
+        nn.SetIntentApplierPausedForTesting(true);
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        nn.SetIntentAppendHoldForTesting(true);
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        nn.SetIntentAppendHoldForTesting(false);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        nn.SetIntentApplierPausedForTesting(false);
+      }
+      ASSERT_TRUE(FinishesWithin(*cluster, std::chrono::seconds(20), "the client threads", [&] {
+        for (auto& th : threads) th.join();
+      }));
+      ASSERT_TRUE(FinishesWithin(*cluster, std::chrono::seconds(10), "FlushIntents",
+                                 [&] { nn.FlushIntents(); }));
+      const IntentLogStats stats = nn.intent_stats();
+      EXPECT_EQ(stats.intents_applied, stats.intents_appended);
+      EXPECT_EQ(stats.apply_failures, 0u);
+      if (!failed.load()) {
+        EXPECT_EQ(acked.size(), static_cast<size_t>(kThreads * kOpsPerThread * 3 / 4));
+      }
+      for (const std::string& path : acked) {
+        auto info = nn.GetFileInfo(path);
+        EXPECT_TRUE(info.ok()) << path << " was acknowledged but is missing: "
+                               << info.status().ToString();
+      }
+      EXPECT_EQ(cluster->db().TableRowCount(cluster->schema().op_intents), 0u);
+    }
+  }
 }
 
 }  // namespace
