@@ -459,6 +459,13 @@ ChaosReport RunChaos(const ChaosOptions& options) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
   }
+  // A terminal intent apply failure drops an acknowledged op's intent, so
+  // each one is a bug. Summed over every namenode the run started, dead
+  // ones included.
+  if (uint64_t failures = cluster->AggregateIntentStats().log.apply_failures; failures > 0) {
+    report.violations.push_back(seed_tag + std::to_string(failures) +
+                                " terminal intent apply failure(s)");
+  }
   report.heal_end_us = now_us();
   tick_stop.store(true);
   ticker.join();

@@ -51,9 +51,10 @@ hops::Status LeaderElection::Heartbeat() {
     auto tx = db_->Begin(kv::TxHint{schema_->leader, static_cast<uint64_t>(id_)});
     auto mine = tx->Read(schema_->leader, {id_}, kv::LockMode::kExclusive);
     if (!mine.ok()) return mine.status();
-    kv::Row updated = *mine;
-    updated[col::kLeaderCounter] = updated[col::kLeaderCounter].i64() + 1;
-    HOPS_RETURN_IF_ERROR(tx->Update(schema_->leader, std::move(updated)));
+    const kv::Row& row = *mine;
+    HOPS_RETURN_IF_ERROR(tx->Update(
+        schema_->leader, kv::Row{row[col::kLeaderNn], row[col::kLeaderCounter].i64() + 1,
+                                 row[col::kLeaderLocation]}));
     auto all = tx->FullTableScan(schema_->leader);
     if (!all.ok()) return all.status();
     HOPS_RETURN_IF_ERROR(tx->Commit());

@@ -8,9 +8,7 @@ namespace hops::kv {
 namespace {
 
 size_t RowBytes(const std::string& ekey, const Row& row) {
-  size_t n = ekey.size();
-  for (const auto& v : row) n += v.FootprintBytes();
-  return n;
+  return ekey.size() + row.FootprintBytes();
 }
 
 }  // namespace
@@ -54,6 +52,25 @@ bool OccTxn::CommittedExists(TableId table, uint32_t partition, const std::strin
   return live.has_value();
 }
 
+hops::Status OccTxn::ExistenceCheckFailed(TableId table, uint32_t partition,
+                                          const std::string& ekey, hops::Status failure) {
+  // CommittedExists just recorded an observation unless an earlier one
+  // holds. If that one names another version, the failure comes from a
+  // commit this transaction never saw and cannot validate past: a conflict.
+  // (One encoded key can be probed in two partitions, an inode's primary
+  // and alternate placement; an observation of the other one says nothing.)
+  auto obs = read_set_.find({table, ekey});
+  if (obs == read_set_.end() || obs->second.partition != partition ||
+      obs->second.version == CommittedVersion(table, partition, ekey, nullptr)) {
+    return failure;
+  }
+  auto& s = stats();
+  s.occ_conflicts.fetch_add(1, std::memory_order_relaxed);
+  s.occ_key_conflicts.fetch_add(1, std::memory_order_relaxed);
+  return hops::Status::Conflict("validated read of " + occ_->schema(table).table_name +
+                                " changed before the write checked it");
+}
+
 hops::Result<bool> OccTxn::ClaimWrite(TableId table, uint32_t /*partition*/,
                                       const std::string& ekey, bool blind) {
   // A write costs a trip only to learn a key's state the transaction does
@@ -70,9 +87,9 @@ hops::Status OccTxn::ClaimWindow(const std::vector<InFlightBatch>& /*flight*/,
   return hops::Status::Ok();
 }
 
-std::map<std::string, Row> OccTxn::CommittedRange(TableId table, uint32_t partition,
-                                                  const std::string& eprefix,
-                                                  const ScanOptions& opts) {
+OccTxn::CommittedRows OccTxn::CommittedRange(TableId table, uint32_t partition,
+                                             const std::string& eprefix,
+                                             const ScanOptions& opts) {
   // A locking scan's stability guarantee becomes a validated range: loading
   // the published version BEFORE scanning means any commit that lands in the
   // range afterwards carries a newer version and fails the commit-time walk.
@@ -80,13 +97,13 @@ std::map<std::string, Row> OccTxn::CommittedRange(TableId table, uint32_t partit
   // post-scan stability -- so it records nothing here either.
   const bool validated = opts.lock != LockMode::kReadCommitted && !opts.take_and_release;
   const uint64_t seen = validated ? occ_->commit_version_.load(std::memory_order_acquire) : 0;
-  std::map<std::string, Row> rows;
+  CommittedRows rows;
   {
     OccEngine::OccPartition& p = occ_->part(table, partition);
     std::shared_lock<std::shared_mutex> lock(p.mu);
     for (auto it = p.rows.lower_bound(eprefix); it != p.rows.end(); ++it) {
       if (!eprefix.empty() && it->first.compare(0, eprefix.size(), eprefix) != 0) break;
-      if (!it->second.tombstone) rows.emplace_hint(rows.end(), it->first, it->second.row);
+      if (!it->second.tombstone) rows.emplace_back(it->first, it->second.row);
     }
   }
   if (validated) range_set_.push_back(RangeObs{table, partition, eprefix, seen});
@@ -147,23 +164,27 @@ hops::Status OccTxn::InstallWriteSet() {
   // Install the write set at one new version, then publish it. Publishing
   // only after the full install keeps the invariant the range check rests
   // on: every commit <= the published counter is completely visible.
+  // Each staged row swaps places with the version it replaces (an empty row
+  // for a delete's tombstone), so the replaced rows are freed when the write
+  // set is cleared, after commit_mu_ is released.
   const uint64_t version = occ_->commit_version_.load(std::memory_order_relaxed) + 1;
-  for (const auto& [tk, staged] : write_set()) {
+  for (auto& [tk, staged] : write_set()) {
     const auto& [table_id, ekey] = tk;
     OccEngine::OccPartition& p = occ_->part(table_id, staged.partition);
     std::lock_guard<std::shared_mutex> lock(p.mu);
-    auto it = p.rows.find(ekey);
-    if (it != p.rows.end() && !it->second.tombstone) {
-      p.live_bytes -= RowBytes(ekey, it->second.row);
+    auto [it, inserted] = p.rows.try_emplace(ekey);
+    OccEngine::VersionedRow& slot = it->second;
+    if (!inserted && !slot.tombstone) {
+      p.live_bytes -= RowBytes(ekey, slot.row);
       p.live_rows--;
     }
-    if (staged.is_delete) {
-      p.rows[ekey] = OccEngine::VersionedRow{version, true, {}};
-    } else {
+    if (!staged.is_delete) {
       p.live_bytes += RowBytes(ekey, staged.row);
       p.live_rows++;
-      p.rows[ekey] = OccEngine::VersionedRow{version, false, staged.row};
     }
+    slot.version = version;
+    slot.tombstone = staged.is_delete;
+    std::swap(slot.row, staged.row);
   }
   occ_->commit_version_.store(version, std::memory_order_release);
   return hops::Status::Ok();

@@ -18,16 +18,28 @@
 //    tombstones -- carries a newer version. This is the phantom check a 2PL
 //    locking scan gets from holding its row locks.
 //  * Existence-checking writes (insert/update/delete) record a read-set
-//    observation so a racing writer is caught. Blind upserts (Write) stage
+//    observation so a racing writer is caught. When such a check fails
+//    (AlreadyExists/NotFound) against a version newer than the one the
+//    transaction observed earlier -- say an X-read saw the key absent, then
+//    a peer committed it -- the write returns kConflict, counted as a key
+//    conflict: the commit could not validate, and the failure is an answer
+//    the transaction's own snapshot never gave. Blind upserts (Write) stage
 //    without observation -- last-writer-wins, the same outcome 2PL
 //    serializes to.
+//  * Committed versions hold immutable shared rows (Row): reads and scans
+//    take a reference, never a deep copy, and an install replaces a key's
+//    row instead of editing it, so a row already handed out keeps its
+//    values.
 //  * Each partition's version map sits behind a reader/writer lock:
 //    point reads, scans and the commit-time range re-walk take it shared,
-//    and only the install loop takes it exclusive, once per staged row. It
-//    keeps the map consistent; what orders commits is the next point.
+//    and only the install loop takes it exclusive, once per staged row, for
+//    a map update and the row's cached footprint. It keeps the map
+//    consistent; what orders commits is the next point.
 //  * Commit validates the read and range sets and installs the write set
 //    under one global commit mutex, at a single new commit version. The
-//    published version counter is bumped only AFTER the install completes,
+//    install moves each staged row into the store and parks the version it
+//    replaces in the write set, which frees it after the mutex is released.
+//    The published version counter is bumped only AFTER the install completes,
 //    so a concurrent reader that loads version v is guaranteed every commit
 //    <= v is fully visible -- the ordering the range check's correctness
 //    rests on. A failed validation aborts with hops::StatusCode::kConflict
@@ -87,13 +99,14 @@ class OccTxn final : public TxnSkeleton {
   hops::Result<std::optional<Row>> ReadRow(TableId table, uint32_t partition,
                                            const std::string& ekey, LockMode mode) override;
   bool CommittedExists(TableId table, uint32_t partition, const std::string& ekey) override;
+  hops::Status ExistenceCheckFailed(TableId table, uint32_t partition, const std::string& ekey,
+                                    hops::Status failure) override;
   hops::Result<bool> ClaimWrite(TableId table, uint32_t partition, const std::string& ekey,
                                 bool blind) override;
   hops::Status ClaimWindow(const std::vector<InFlightBatch>& flight, std::vector<bool>& pays,
                            bool& fresh) override;
-  std::map<std::string, Row> CommittedRange(TableId table, uint32_t partition,
-                                            const std::string& eprefix,
-                                            const ScanOptions& opts) override;
+  CommittedRows CommittedRange(TableId table, uint32_t partition, const std::string& eprefix,
+                               const ScanOptions& opts) override;
   hops::Result<bool> HoldScanRow(TableId table, uint32_t partition, const std::string& ekey,
                                  const ScanOptions& opts, Row& row) override;
   hops::Status InstallWriteSet() override;

@@ -442,14 +442,16 @@ hops::Result<uint32_t> TxnSkeleton::Stage(WriteKind kind, TableId table, const T
   switch (kind) {
     case WriteKind::kInsert:
       if (RowExists(table, partition, ekey)) {
-        return hops::Status::AlreadyExists(t.schema.table_name);
+        return ExistenceCheckFailed(table, partition, ekey,
+                                    hops::Status::AlreadyExists(t.schema.table_name));
       }
       break;
     case WriteKind::kUpdate:
     case WriteKind::kDelete:
       if (!RowExists(table, partition, ekey)) {
         if (kind == WriteKind::kUpdate || !ignore_missing) {
-          return hops::Status::NotFound(t.schema.table_name);
+          return ExistenceCheckFailed(table, partition, ekey,
+                                      hops::Status::NotFound(t.schema.table_name));
         }
         // A tolerated delete of an absent row stages nothing, but its claim
         // and probe still touched the partition.
@@ -694,26 +696,44 @@ hops::Result<std::vector<Row>> TxnSkeleton::ScanOnePartition(TableId table, uint
                                                              const std::string& eprefix,
                                                              const ScanOptions& opts,
                                                              uint32_t* examined) {
-  // The committed candidates, then this transaction's staged writes on top
-  // (read-your-writes).
-  std::map<std::string, Row> merged = CommittedRange(table, partition, eprefix, opts);
-  for (const auto& [tk, staged] : write_set_) {
-    const auto& [wt, wekey] = tk;
-    if (wt != table || staged.partition != partition) continue;
-    if (!eprefix.empty() && wekey.compare(0, eprefix.size(), eprefix) != 0) continue;
-    if (staged.is_delete) {
-      merged.erase(wekey);
-    } else {
-      merged[wekey] = staged.row;
+  // The committed candidates merged in key order with this transaction's
+  // staged writes under the same prefix (read-your-writes): a staged write
+  // shadows the committed row of its key, and a staged delete drops it.
+  CommittedRows committed = CommittedRange(table, partition, eprefix, opts);
+  auto staged = write_set_.lower_bound({table, eprefix});
+  auto staged_in_range = [&] {
+    for (; staged != write_set_.end(); ++staged) {
+      const auto& [wt, wekey] = staged->first;
+      if (wt != table || wekey.compare(0, eprefix.size(), eprefix) != 0) return false;
+      if (staged->second.partition == partition) return true;
     }
-  }
+    return false;
+  };
 
   std::vector<Row> results;
-  for (auto& [ekey, row] : merged) {
+  results.reserve(committed.size());
+  auto next = committed.begin();
+  for (;;) {
+    const bool have_staged = staged_in_range();
+    if (!have_staged && next == committed.end()) break;
+    const std::string* ekey;
+    Row row;
+    if (have_staged && (next == committed.end() || staged->first.second <= next->first)) {
+      if (next != committed.end() && next->first == staged->first.second) ++next;
+      const StagedWrite& write = staged->second;
+      ekey = &staged->first.second;
+      ++staged;
+      if (write.is_delete) continue;
+      row = write.row;
+    } else {
+      ekey = &next->first;
+      row = std::move(next->second);
+      ++next;
+    }
     (*examined)++;
     if (!RowMatches(row, opts)) continue;
     if (opts.lock != LockMode::kReadCommitted) {
-      HOPS_ASSIGN_OR_RETURN(keep, HoldScanRow(table, partition, ekey, opts, row));
+      HOPS_ASSIGN_OR_RETURN(keep, HoldScanRow(table, partition, *ekey, opts, row));
       if (!keep) continue;
     }
     results.push_back(std::move(row));

@@ -15,6 +15,9 @@
 //   hook              2PL (ndb::Transaction)          OCC (kv::OccTxn)
 //   ReadRow           lock, then read                 read, then observe
 //   CommittedExists   probe the partition             probe and observe
+//   ExistenceCheck-   the check's own error           kConflict if the key
+//     Failed                                          moved past an earlier
+//                                                     observation
 //   ClaimWrite        X-lock; pays if not yet held    pays if the key is new
 //   ClaimWindow       lock set in global order        nothing
 //   CommittedRange    snapshot                        snapshot + RangeObs
@@ -200,6 +203,8 @@ class TxnSkeleton : public Txn {
     Row row;  // empty for deletes
     uint32_t partition = 0;
   };
+  // One partition's committed rows under a scan prefix, in encoded-key order.
+  using CommittedRows = std::vector<std::pair<std::string, Row>>;
   // (table, encoded key) -> staged write; ordered so commit installs in a
   // deterministic order.
   using WriteSet = std::map<std::pair<TableId, std::string>, StagedWrite>;
@@ -212,6 +217,11 @@ class TxnSkeleton : public Txn {
   // Whether a committed row exists, for a write's existence check; the
   // answer must stay true until commit.
   virtual bool CommittedExists(TableId table, uint32_t partition, const std::string& ekey) = 0;
+  // The error for a write whose existence check failed (`failure` is the
+  // AlreadyExists or NotFound the check implies). Called only then, so the
+  // common path pays nothing for it.
+  virtual hops::Status ExistenceCheckFailed(TableId table, uint32_t partition,
+                                            const std::string& ekey, hops::Status failure) = 0;
   // Claims a row about to be written (`blind`: an upsert with no existence
   // check). Returns whether the claim costs a round trip of its own.
   virtual hops::Result<bool> ClaimWrite(TableId table, uint32_t partition,
@@ -222,15 +232,16 @@ class TxnSkeleton : public Txn {
   virtual hops::Status ClaimWindow(const std::vector<InFlightBatch>& flight,
                                    std::vector<bool>& pays, bool& fresh) = 0;
   // The committed rows of one partition under `eprefix`, for a scan.
-  virtual std::map<std::string, Row> CommittedRange(TableId table, uint32_t partition,
-                                                    const std::string& eprefix,
-                                                    const ScanOptions& opts) = 0;
+  virtual CommittedRows CommittedRange(TableId table, uint32_t partition,
+                                       const std::string& eprefix, const ScanOptions& opts) = 0;
   // Makes one matching row of a locking scan stable (opts.lock is not
   // kReadCommitted); may refresh `row`. False drops the row.
   virtual hops::Result<bool> HoldScanRow(TableId table, uint32_t partition,
                                          const std::string& ekey, const ScanOptions& opts,
                                          Row& row) = 0;
-  // Installs the (non-empty) write set at commit; a failure aborts.
+  // Installs the (non-empty) write set at commit; a failure aborts. It may
+  // move the staged rows out (the write set is cleared right after) and
+  // park the rows they replace there, to be freed once its locks are gone.
   virtual hops::Status InstallWriteSet() = 0;
   // Drops the claim on one row without a staged write (UnlockRow).
   virtual void ReleaseRow(TableId table, uint32_t partition, const std::string& ekey) = 0;
@@ -239,6 +250,7 @@ class TxnSkeleton : public Txn {
 
   static bool RowMatches(const Row& row, const ScanOptions& opts);
   const WriteSet& write_set() const { return write_set_; }
+  WriteSet& write_set() { return write_set_; }
   bool Staged(TableId table, const std::string& ekey) const {
     return write_set_.count({table, ekey}) > 0;
   }

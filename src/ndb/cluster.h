@@ -47,13 +47,14 @@ class Transaction final : public kv::TxnSkeleton {
   hops::Result<std::optional<Row>> ReadRow(TableId table, uint32_t partition,
                                            const std::string& ekey, LockMode mode) override;
   bool CommittedExists(TableId table, uint32_t partition, const std::string& ekey) override;
+  hops::Status ExistenceCheckFailed(TableId table, uint32_t partition, const std::string& ekey,
+                                    hops::Status failure) override;
   hops::Result<bool> ClaimWrite(TableId table, uint32_t partition, const std::string& ekey,
                                 bool blind) override;
   hops::Status ClaimWindow(const std::vector<InFlightBatch>& flight, std::vector<bool>& pays,
                            bool& fresh) override;
-  std::map<std::string, Row> CommittedRange(TableId table, uint32_t partition,
-                                            const std::string& eprefix,
-                                            const ScanOptions& opts) override;
+  CommittedRows CommittedRange(TableId table, uint32_t partition, const std::string& eprefix,
+                               const ScanOptions& opts) override;
   hops::Result<bool> HoldScanRow(TableId table, uint32_t partition, const std::string& ekey,
                                  const ScanOptions& opts, Row& row) override;
   hops::Status InstallWriteSet() override;

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace hops::ndb {
 
 namespace {
 size_t RowBytes(const std::string& ekey, const Row& row) {
-  size_t n = ekey.size();
-  for (const auto& v : row) n += v.FootprintBytes();
-  return n;
+  return ekey.size() + row.FootprintBytes();
 }
 }  // namespace
 
@@ -103,24 +102,23 @@ bool Partition::Contains(const std::string& ekey) const {
 }
 
 void Partition::ApplyPut(const std::string& ekey, Row row) {
+  // Declared before the guard, so the replaced row is dropped after rows_mu_
+  // is released.
+  Row replaced;
   std::lock_guard<std::shared_mutex> lock(rows_mu_);
-  auto it = rows_.find(ekey);
-  if (it != rows_.end()) {
-    data_bytes_ -= RowBytes(ekey, it->second);
-    it->second = std::move(row);
-    data_bytes_ += RowBytes(ekey, it->second);
-  } else {
-    data_bytes_ += RowBytes(ekey, row);
-    rows_.emplace(ekey, std::move(row));
-  }
+  data_bytes_ += RowBytes(ekey, row);
+  auto [it, inserted] = rows_.try_emplace(ekey);
+  if (!inserted) data_bytes_ -= RowBytes(ekey, it->second);
+  replaced = std::exchange(it->second, std::move(row));
 }
 
 void Partition::ApplyDelete(const std::string& ekey) {
+  decltype(rows_)::node_type erased;  // dropped after rows_mu_ is released
   std::lock_guard<std::shared_mutex> lock(rows_mu_);
   auto it = rows_.find(ekey);
   if (it == rows_.end()) return;
   data_bytes_ -= RowBytes(ekey, it->second);
-  rows_.erase(it);
+  erased = rows_.extract(it);
 }
 
 std::vector<std::pair<std::string, Row>> Partition::SnapshotPrefix(

@@ -8,12 +8,19 @@
 // version is always the one stored here). Deadlocks are resolved by lock-wait
 // timeout, as NDB does.
 //
+// Stored rows are immutable shared versions (ndb::Row): Get and
+// SnapshotPrefix hand out the stored buffers by reference count, never a
+// deep copy, and a commit replaces a key's row rather than editing it, so a
+// row a reader already holds keeps its values.
+//
 // Two internal locks, so that neither readers nor lock traffic queue behind
 // each other:
 //  * rows_mu_ (reader/writer) guards rows_ and data_bytes_. Get, Contains,
 //    SnapshotPrefix, row_count and data_bytes take it shared; only the
-//    commit path's ApplyPut/ApplyDelete take it exclusive. It keeps the map
-//    consistent; the row locks below are what keep the data stable.
+//    commit path's ApplyPut/ApplyDelete take it exclusive, for a map update
+//    and the row's cached footprint; the row they replace or erase is freed
+//    after the lock is released. It keeps the map consistent; the row locks
+//    below are what keep the data stable.
 //  * lock_mu_ guards locks_ and is the mutex lock_released_ waits on.
 // No method holds both.
 #pragma once
@@ -58,8 +65,8 @@ class Partition final : public kv::PartitionStore {
   void ApplyPut(const std::string& ekey, Row row);
   void ApplyDelete(const std::string& ekey);
 
-  // Copies all committed rows whose encoded key starts with `prefix`
-  // ("" = whole partition). Returns pairs of (encoded key, row).
+  // All committed rows whose encoded key starts with `prefix` ("" = whole
+  // partition), in key order, as pairs of (encoded key, shared row).
   std::vector<std::pair<std::string, Row>> SnapshotPrefix(const std::string& prefix) const;
 
   size_t row_count() const override;

@@ -53,6 +53,12 @@ bool Transaction::CommittedExists(TableId table, uint32_t partition, const std::
   return cluster_->part(table, partition).Contains(ekey);  // the X lock keeps it so
 }
 
+hops::Status Transaction::ExistenceCheckFailed(TableId /*table*/, uint32_t /*partition*/,
+                                               const std::string& /*ekey*/,
+                                               hops::Status failure) {
+  return failure;  // the X lock held since the check makes the answer final
+}
+
 hops::Result<bool> Transaction::ClaimWrite(TableId table, uint32_t partition,
                                            const std::string& ekey, bool /*blind*/) {
   const bool fresh_lock = held_locks_.count({table, partition, ekey}) == 0;
@@ -181,15 +187,10 @@ hops::Status Transaction::ClaimWindow(const std::vector<InFlightBatch>& flight,
   return hops::Status::Ok();
 }
 
-std::map<std::string, Row> Transaction::CommittedRange(TableId table, uint32_t partition,
+Transaction::CommittedRows Transaction::CommittedRange(TableId table, uint32_t partition,
                                                        const std::string& eprefix,
                                                        const ScanOptions& /*opts*/) {
-  // Copy under the partition's shared rows lock, build the map outside it.
-  std::map<std::string, Row> rows;
-  for (auto& [ekey, row] : cluster_->part(table, partition).SnapshotPrefix(eprefix)) {
-    rows.emplace_hint(rows.end(), std::move(ekey), std::move(row));
-  }
-  return rows;
+  return cluster_->part(table, partition).SnapshotPrefix(eprefix);
 }
 
 hops::Result<bool> Transaction::HoldScanRow(TableId table, uint32_t partition,
@@ -223,13 +224,14 @@ hops::Status Transaction::InstallWriteSet() {
   // Apply staged writes partition-atomically, in deterministic key order.
   // Cross-partition visibility during application is permitted by
   // read-committed isolation; locked readers still wait for our row locks.
-  for (const auto& [tk, staged] : write_set()) {
+  // Each staged row moves into the store: the write set is cleared next.
+  for (auto& [tk, staged] : write_set()) {
     const auto& [table_id, ekey] = tk;
     Partition& p = cluster_->part(table_id, staged.partition);
     if (staged.is_delete) {
       p.ApplyDelete(ekey);
     } else {
-      p.ApplyPut(ekey, staged.row);
+      p.ApplyPut(ekey, std::move(staged.row));
     }
   }
   return hops::Status::Ok();

@@ -162,6 +162,46 @@ TEST_F(OccConflictTest, ValidatedReadFailsWhenTheRowChangesBeforeCommit) {
   EXPECT_TRUE(t3->Commit().ok());
 }
 
+TEST_F(OccConflictTest, WriteCheckContradictingAnEarlierObservationConflicts) {
+  // An X-read sees the key absent, a peer commits it, then the insert's
+  // existence check finds it: the transaction's own snapshot never saw the
+  // row, and its commit could not validate, so the answer is a retryable
+  // conflict rather than AlreadyExists.
+  auto t1 = engine_->Begin();
+  EXPECT_EQ(t1->Read(table_, kv::Key{int64_t{1}, int64_t{3}}, kv::LockMode::kExclusive)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  auto peer = engine_->Begin();
+  ASSERT_TRUE(peer->Insert(table_, kv::Row{int64_t{1}, int64_t{3}, int64_t{30}}).ok());
+  ASSERT_TRUE(peer->Commit().ok());
+  hops::Status st = t1->Insert(table_, kv::Row{int64_t{1}, int64_t{3}, int64_t{31}});
+  EXPECT_EQ(st.code(), StatusCode::kConflict) << st.ToString();
+  EXPECT_TRUE(st.IsRetryableTx());
+
+  // The mirror image: an update of a row the transaction saw, deleted since.
+  auto t2 = engine_->Begin();
+  ASSERT_TRUE(t2->Read(table_, kv::Key{int64_t{1}, int64_t{1}}, kv::LockMode::kExclusive).ok());
+  auto deleter = engine_->Begin();
+  ASSERT_TRUE(deleter->Delete(table_, kv::Key{int64_t{1}, int64_t{1}}).ok());
+  ASSERT_TRUE(deleter->Commit().ok());
+  st = t2->Update(table_, kv::Row{int64_t{1}, int64_t{1}, int64_t{11}});
+  EXPECT_EQ(st.code(), StatusCode::kConflict) << st.ToString();
+
+  auto stats = engine_->StatsSnapshot();
+  EXPECT_EQ(stats.occ_conflicts, 2u);
+  EXPECT_EQ(stats.occ_key_conflicts, 2u);
+  EXPECT_EQ(stats.occ_range_conflicts, 0u);
+
+  // Without an earlier observation the failed check keeps its own answer.
+  auto t3 = engine_->Begin();
+  EXPECT_EQ(t3->Insert(table_, kv::Row{int64_t{1}, int64_t{3}, int64_t{32}}).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(t3->Update(table_, kv::Row{int64_t{1}, int64_t{1}, int64_t{12}}).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(engine_->StatsSnapshot().occ_conflicts, 2u);
+}
+
 TEST_F(OccConflictTest, SecondOfTwoValidatedReadersConflictsAfterTheFirstCommits) {
   // Both transactions validate the same key; the first to commit an update
   // wins, and the second's validation fails. The conflict message is built
@@ -411,6 +451,44 @@ TEST(OccNamenodeTest, IntentLogAppendRacesLoseNoAcks) {
   }
   fs::ClusterIntentStats intents = cluster->AggregateIntentStats();
   EXPECT_GE(intents.log.acked_ops, uint64_t(kThreads * kPerThread));
+}
+
+TEST(OccNamenodeTest, TwoNamenodesMkdirsOneNewDirectoryEveryCallSucceeds) {
+  // mkdirs is idempotent: when two namenodes race to create one new
+  // directory, both calls must succeed, with sync and with async commit.
+  for (bool async_commit : {false, true}) {
+    SCOPED_TRACE(async_commit ? "async" : "sync");
+    auto cluster = StartOccCluster(/*num_handlers=*/4, async_commit);
+    ASSERT_NE(cluster, nullptr);
+    ASSERT_GE(cluster->num_namenodes(), 2);
+    constexpr int kRounds = 200;
+    std::atomic<int> ready{0};
+    std::atomic<int> bad{0};
+    auto racer = [&](int nn) {
+      for (int round = 0; round < kRounds; ++round) {
+        // Both racers start each round together.
+        ready.fetch_add(1);
+        while (ready.load() < 2 * (round + 1)) std::this_thread::yield();
+        const std::string path = "/race" + std::to_string(round);
+        hops::Status st = cluster->namenode(nn).Mkdirs(path);
+        if (!st.ok()) {
+          ++bad;
+          ADD_FAILURE() << "nn " << nn << " mkdirs " << path << ": " << st.ToString();
+        }
+      }
+    };
+    std::thread a(racer, 0);
+    std::thread b(racer, 1);
+    a.join();
+    b.join();
+    EXPECT_EQ(bad.load(), 0);
+    cluster->DrainIntents();
+    EXPECT_EQ(cluster->AggregateIntentStats().log.apply_failures, 0u);
+    auto setup = cluster->NewClient(fs::NamenodePolicy::kRoundRobin, "check");
+    for (int round = 0; round < kRounds; ++round) {
+      EXPECT_TRUE(setup.Stat("/race" + std::to_string(round)).ok()) << round;
+    }
+  }
 }
 
 // --- Cross-engine equivalence ------------------------------------------------

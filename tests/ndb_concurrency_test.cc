@@ -137,9 +137,7 @@ TEST_F(NdbConcurrencyTest, LostUpdatePreventedByExclusiveLocks) {
           auto tx = cluster_->Begin();
           auto row = tx->Read(table_, {int64_t{5}}, LockMode::kExclusive);
           if (!row.ok()) continue;  // timed out: retry
-          Row updated = *row;
-          updated[1] = updated[1].i64() + 1;
-          if (!tx->Update(table_, std::move(updated)).ok()) continue;
+          if (!tx->Update(table_, Row{(*row)[0], (*row)[1].i64() + 1}).ok()) continue;
           if (tx->Commit().ok()) break;
         }
       }

@@ -127,6 +127,48 @@ TEST_P(NdbTxTest, ReadCommittedSeesOldValueDuringConcurrentUpdate) {
   EXPECT_EQ((*row2)[2].i64(), 999) << "fuzzy read is permitted at read-committed";
 }
 
+TEST_P(NdbTxTest, ReadsAndScansShareTheStoredRow) {
+  MustInsert(1, "foo", 100);
+  MustInsert(1, "goo", 101);
+  auto tx = cluster_->Begin();
+  auto first = tx->Read(table_, {int64_t{1}, "foo"}, LockMode::kReadCommitted);
+  auto second = tx->Read(table_, {int64_t{1}, "foo"}, LockMode::kReadCommitted);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(&(*first)[0], &(*second)[0]) << "two reads of one committed row share its buffer";
+
+  auto scanned = tx->Ppis(table_, {int64_t{1}});
+  ASSERT_TRUE(scanned.ok());
+  ASSERT_EQ(scanned->size(), 2u);
+  EXPECT_EQ((*scanned)[0][1].str(), "foo");
+  EXPECT_EQ(&(*scanned)[0][0], &(*first)[0]) << "a scan hands out the stored buffer";
+  auto goo = tx->Read(table_, {int64_t{1}, "goo"}, LockMode::kReadCommitted);
+  ASSERT_TRUE(goo.ok());
+  EXPECT_EQ(&(*scanned)[1][0], &(*goo)[0]);
+}
+
+TEST_P(NdbTxTest, RowReadBeforeAnUpdateCommitsKeepsItsValues) {
+  MustInsert(1, "foo", 100);
+  auto reader = cluster_->Begin();
+  auto before = reader->Read(table_, {int64_t{1}, "foo"}, LockMode::kReadCommitted);
+  ASSERT_TRUE(before.ok());
+
+  auto writer = cluster_->Begin();
+  ASSERT_TRUE(writer->Update(table_, MakeRow(1, "foo", 100, 42)).ok());
+  ASSERT_TRUE(writer->Commit().ok());
+  auto after = reader->Read(table_, {int64_t{1}, "foo"}, LockMode::kReadCommitted);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ((*after)[3].i64(), 42);
+  EXPECT_NE(&(*after)[0], &(*before)[0]) << "an update installs a new version";
+  EXPECT_EQ((*before)[3].i64(), 0) << "a row already read keeps its values";
+
+  auto deleter = cluster_->Begin();
+  ASSERT_TRUE(deleter->Delete(table_, {int64_t{1}, "foo"}).ok());
+  ASSERT_TRUE(deleter->Commit().ok());
+  EXPECT_EQ((*after)[3].i64(), 42) << "and outlives the key's delete";
+  EXPECT_EQ((*after)[1].str(), "foo");
+}
+
 TEST_P(NdbTxTest, MultiPartitionCommitIsApplied) {
   auto tx = cluster_->Begin();
   for (int64_t parent = 0; parent < 20; ++parent) {
